@@ -80,52 +80,59 @@ int main(int argc, char** argv) {
     b::Params params;
     try {
         params = ex::build_rocketrig_params(args);
-    } catch (const b::InvalidArgument& e) {
+    } catch (const b::Error& e) { // bad flag value or invalid Params
         std::cerr << e.what() << "\n";
         return 2;
     }
 
-    b::comm::Context::run(nranks, [&](b::comm::Communicator& comm) {
-        b::Solver solver(comm, params);
-        {
-            std::ostringstream os;
-            os << "rocketrig: " << nranks << " ranks, " << mesh << "^2 mesh, order="
-               << ex::order_name(params.order) << ", dt=" << solver.dt();
-            if (deck != "none") os << ", deck=" << deck;
-            ex::print0(comm, os.str());
-        }
-        b::SiloWriter writer(output);
-        if (write_freq > 0) writer.write(solver.state(), 0);
-
-        b::Stopwatch watch;
-        for (int s = 1; s <= steps; ++s) {
-            solver.step();
-            const bool output_step = write_freq > 0 && s % write_freq == 0;
-            if (output_step || s == steps) {
-                auto summary = b::summarize(solver.state());
+    // A configuration the solver rejects at run time (a failed check on
+    // some rank) ends the run with its message, not std::terminate.
+    try {
+        b::comm::Context::run(nranks, [&](b::comm::Communicator& comm) {
+            b::Solver solver(comm, params);
+            {
                 std::ostringstream os;
-                os << "step " << std::setw(5) << s << "  t=" << std::fixed
-                   << std::setprecision(4) << solver.time() << "  max|z3|=" << std::scientific
-                   << std::setprecision(3) << summary.max_height
-                   << "  |w|_2=" << summary.vorticity_l2;
+                os << "rocketrig: " << nranks << " ranks, " << mesh << "^2 mesh, order="
+                   << ex::order_name(params.order) << ", dt=" << solver.dt();
+                if (deck != "none") os << ", deck=" << deck;
                 ex::print0(comm, os.str());
-                if (census && solver.cutoff_solver() != nullptr) {
-                    auto stats = b::imbalance_stats(b::ownership_census(comm, solver));
-                    std::ostringstream cs;
-                    cs << "       spatial ownership: min=" << std::fixed << std::setprecision(4)
-                       << stats.min_share * 100.0 << "% max=" << stats.max_share * 100.0
-                       << "% imbalance=" << stats.imbalance;
-                    ex::print0(comm, cs.str());
-                }
             }
-            if (output_step) writer.write(solver.state(), s);
-        }
-        {
-            std::ostringstream os;
-            os << "done: " << steps << " steps in " << std::fixed << std::setprecision(2)
-               << watch.seconds() << "s (" << watch.seconds() / steps << " s/step)";
-            ex::print0(comm, os.str());
-        }
-    });
+            b::SiloWriter writer(output);
+            if (write_freq > 0) writer.write(solver.state(), 0);
+
+            b::Stopwatch watch;
+            for (int s = 1; s <= steps; ++s) {
+                solver.step();
+                const bool output_step = write_freq > 0 && s % write_freq == 0;
+                if (output_step || s == steps) {
+                    auto summary = b::summarize(solver.state());
+                    std::ostringstream os;
+                    os << "step " << std::setw(5) << s << "  t=" << std::fixed
+                       << std::setprecision(4) << solver.time() << "  max|z3|=" << std::scientific
+                       << std::setprecision(3) << summary.max_height
+                       << "  |w|_2=" << summary.vorticity_l2;
+                    ex::print0(comm, os.str());
+                    if (census && solver.cutoff_solver() != nullptr) {
+                        auto stats = b::imbalance_stats(b::ownership_census(comm, solver));
+                        std::ostringstream cs;
+                        cs << "       spatial ownership: min=" << std::fixed << std::setprecision(4)
+                           << stats.min_share * 100.0 << "% max=" << stats.max_share * 100.0
+                           << "% imbalance=" << stats.imbalance;
+                        ex::print0(comm, cs.str());
+                    }
+                }
+                if (output_step) writer.write(solver.state(), s);
+            }
+            {
+                std::ostringstream os;
+                os << "done: " << steps << " steps in " << std::fixed << std::setprecision(2)
+                   << watch.seconds() << "s (" << watch.seconds() / steps << " s/step)";
+                ex::print0(comm, os.str());
+            }
+        });
+    } catch (const b::Error& e) {
+        std::cerr << "rocketrig: " << e.what() << "\n";
+        return 1;
+    }
     return 0;
 }

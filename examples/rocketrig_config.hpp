@@ -97,6 +97,17 @@ inline Params build_rocketrig_params(const Args& args) {
             params.surface_high = {1.0, 1.0};
         }
     }
+    if (params.boundary == Boundary::periodic) {
+        // The cutoff solver's periodic images wrap by the surface tile, so
+        // the spatial box's x/y must be that tile (medium order uses the
+        // cutoff solver with the low-order decks' surface domain).
+        for (int d = 0; d < 2; ++d) {
+            params.box_low[static_cast<std::size_t>(d)] =
+                params.surface_low[static_cast<std::size_t>(d)];
+            params.box_high[static_cast<std::size_t>(d)] =
+                params.surface_high[static_cast<std::size_t>(d)];
+        }
+    }
     params.validate();
     return params;
 }

@@ -327,8 +327,14 @@ public:
             const plancheck::Await edge{plancheck::WaitKind::barrier, world_rank_of(src),
                                         /*slot=*/-1,
                                         {comm_id_, world_rank_of(src), world_rank(), tag}};
-            plancheck::BlockedScope pblock(cs, world_rank(), {&edge, 1});
-            (void)ctx_->mailbox(world_rank()).receive(comm_id_, src, tag);
+            {
+                // Unblock before counting the consume: a rank still
+                // registered as blocked on an edge whose message it has
+                // already consumed reads as stuck, and the detector would
+                // report a knot that this rank is about to leave.
+                plancheck::BlockedScope pblock(cs, world_rank(), {&edge, 1});
+                (void)ctx_->mailbox(world_rank()).receive(comm_id_, src, tag);
+            }
             if (cs != nullptr) {
                 cs->note_consumed({comm_id_, world_rank_of(src), world_rank(), tag});
             }
@@ -646,7 +652,37 @@ public:
 
     /// All-to-all with per-destination counts. Returns the received
     /// elements grouped by source rank; \p recvcounts_out gets each
-    /// source's element count.
+    /// source's element count. A wrapper over alltoallv_each() that
+    /// gathers the blocks into one buffer.
+    template <Transferable T>
+    [[nodiscard]] std::vector<T> alltoallv(std::span<const T> sendbuf,
+                                           std::span<const std::size_t> sendcounts,
+                                           std::vector<std::size_t>& recvcounts_out) {
+        std::vector<T> recvbuf;
+        std::vector<std::size_t> rdispl;
+        alltoallv_each(sendbuf, sendcounts, recvcounts_out,
+                       [&](int from, std::span<const T> block) {
+            if (rdispl.empty()) {
+                // Counts are complete before the first block arrives.
+                rdispl.assign(recvcounts_out.size() + 1, 0);
+                std::partial_sum(recvcounts_out.begin(), recvcounts_out.end(),
+                                 rdispl.begin() + 1);
+                recvbuf.resize(rdispl.back());
+            }
+            std::copy(block.begin(), block.end(),
+                      recvbuf.begin() +
+                          static_cast<std::ptrdiff_t>(rdispl[static_cast<std::size_t>(from)]));
+        });
+        return recvbuf;
+    }
+
+    /// Visitor form of alltoallv: instead of gathering the received blocks
+    /// into one buffer, hands each one — the self block included — to
+    /// `visit(source_rank, std::span<const T> block)` exactly once, in
+    /// arrival order. A block may alias the sender's buffer and is valid
+    /// only for the duration of the call, so consumers unpack in place
+    /// and no receive buffer is ever allocated. \p recvcounts_out holds
+    /// every source's element count before the first visit.
     ///
     /// All three algorithms are supported. Pairwise and linear discover
     /// receive counts with a fixed-size count exchange first (the common
@@ -657,17 +693,17 @@ public:
     /// agreement costs no extra collective). The Bruck v-variant forwards
     /// per-block counts alongside each round's payload, so it needs no
     /// count pre-exchange at all.
-    template <Transferable T>
-    [[nodiscard]] std::vector<T> alltoallv(std::span<const T> sendbuf,
-                                           std::span<const std::size_t> sendcounts,
-                                           std::vector<std::size_t>& recvcounts_out) {
+    template <Transferable T, class Visit>
+    void alltoallv_each(std::span<const T> sendbuf, std::span<const std::size_t> sendcounts,
+                        std::vector<std::size_t>& recvcounts_out, Visit&& visit) {
         const int p = size();
         BEATNIK_REQUIRE(static_cast<int>(sendcounts.size()) == p,
                         "alltoallv: sendcounts size != communicator size");
         std::size_t total = std::accumulate(sendcounts.begin(), sendcounts.end(), std::size_t{0});
         BEATNIK_REQUIRE(sendbuf.size() == total, "alltoallv: send buffer size != sum of counts");
         if (alltoall_algo_ == AlltoallAlgo::bruck) {
-            return alltoallv_bruck(sendbuf, sendcounts, recvcounts_out);
+            alltoallv_bruck(sendbuf, sendcounts, recvcounts_out, visit);
+            return;
         }
 
         // Rendezvous is per-block (each block at or above the threshold is
@@ -703,17 +739,15 @@ public:
         }
 
         std::vector<std::size_t> sdispl(static_cast<std::size_t>(p) + 1, 0);
-        std::vector<std::size_t> rdispl(static_cast<std::size_t>(p) + 1, 0);
-        for (int r = 0; r < p; ++r) {
-            sdispl[static_cast<std::size_t>(r) + 1] = sdispl[static_cast<std::size_t>(r)] + sendcounts[static_cast<std::size_t>(r)];
-            rdispl[static_cast<std::size_t>(r) + 1] = rdispl[static_cast<std::size_t>(r)] + recvcounts_out[static_cast<std::size_t>(r)];
-        }
-        std::vector<T> recvbuf(rdispl.back());
+        std::partial_sum(sendcounts.begin(), sendcounts.end(), sdispl.begin() + 1);
+        auto block_for = [&](int dst) {
+            return sendbuf.subspan(sdispl[static_cast<std::size_t>(dst)],
+                                   sendcounts[static_cast<std::size_t>(dst)]);
+        };
 
         const int tag = next_collective_tag(kTagAlltoallv);
         auto send_block = [&](int dst) {
-            auto block = sendbuf.subspan(sdispl[static_cast<std::size_t>(dst)],
-                                         sendcounts[static_cast<std::size_t>(dst)]);
+            auto block = block_for(dst);
             post_block(block, dst, tag,
                        block.size_bytes() >= ctx_->config().rendezvous_threshold_bytes);
         };
@@ -723,26 +757,23 @@ public:
             int from = m.status.source;
             BEATNIK_REQUIRE(incoming.size() == recvcounts_out[static_cast<std::size_t>(from)],
                             "alltoallv: received block size mismatch");
-            std::copy(incoming.begin(), incoming.end(),
-                      recvbuf.begin() + static_cast<std::ptrdiff_t>(rdispl[static_cast<std::size_t>(from)]));
+            visit(from, incoming);
         };
-
-        // Self block never leaves the rank.
-        std::copy(sendbuf.begin() + static_cast<std::ptrdiff_t>(sdispl[static_cast<std::size_t>(rank_)]),
-                  sendbuf.begin() + static_cast<std::ptrdiff_t>(sdispl[static_cast<std::size_t>(rank_)] + sendcounts[static_cast<std::size_t>(rank_)]),
-                  recvbuf.begin() + static_cast<std::ptrdiff_t>(rdispl[static_cast<std::size_t>(rank_)]));
 
         switch (alltoall_algo_) {
         case AlltoallAlgo::linear:
             // Post everything, then drain in arrival order: the "custom
-            // p2p" flavor.
+            // p2p" flavor. The self block never leaves the rank; it is
+            // consumed while the posted blocks are in flight.
             for (int r = 0; r < p; ++r)
                 if (r != rank_) send_block(r);
+            visit(rank_, block_for(rank_));
             for (int r = 0; r < p; ++r)
                 if (r != rank_) recv_block(any_source);
             break;
         case AlltoallAlgo::pairwise:
             // Pairwise exchange: structured rounds, one partner at a time.
+            visit(rank_, block_for(rank_));
             for (int step = 1; step < p; ++step) {
                 int dst = (rank_ + step) % p;
                 int src = (rank_ - step + p) % p;
@@ -757,7 +788,6 @@ public:
         // Aliased blocks point into the caller's sendbuf; hold every rank
         // here until all reads have finished.
         if (any_alias) barrier();
-        return recvbuf;
     }
 
     /// Inclusive prefix reduction: rank r returns op over ranks 0..r.
@@ -1067,10 +1097,9 @@ private:
     /// the same tag; per-(src, tag) FIFO keeps the pair ordered). Receive
     /// counts fall out of the final block sizes, so no count pre-exchange
     /// is needed.
-    template <Transferable T>
-    std::vector<T> alltoallv_bruck(std::span<const T> sendbuf,
-                                   std::span<const std::size_t> sendcounts,
-                                   std::vector<std::size_t>& recvcounts_out) {
+    template <Transferable T, class Visit>
+    void alltoallv_bruck(std::span<const T> sendbuf, std::span<const std::size_t> sendcounts,
+                         std::vector<std::size_t>& recvcounts_out, Visit& visit) {
         const int p = size();
         const int tag = next_collective_tag(kTagAlltoallv);
         std::vector<std::size_t> sdispl(static_cast<std::size_t>(p) + 1, 0);
@@ -1123,18 +1152,19 @@ private:
             BEATNIK_REQUIRE(off == indata.size(), "bruckv: payload not fully consumed");
         }
         // Phase 3: inverse rotation — slot i now holds the block sent to
-        // us by rank (rank - i + p) % p; emit in source-rank order.
-        recvcounts_out.assign(static_cast<std::size_t>(p), 0);
-        std::size_t total = 0;
-        for (const auto& s : slot) total += s.size();
-        std::vector<T> recvbuf;
-        recvbuf.reserve(total);
+        // us by rank (rank - i + p) % p; hand them out in source-rank
+        // order once every count is known.
+        auto slot_of = [&](int origin) -> const std::vector<T>& {
+            return slot[static_cast<std::size_t>((rank_ - origin + p) % p)];
+        };
+        recvcounts_out.resize(static_cast<std::size_t>(p));
         for (int origin = 0; origin < p; ++origin) {
-            const auto& s = slot[static_cast<std::size_t>((rank_ - origin + p) % p)];
-            recvcounts_out[static_cast<std::size_t>(origin)] = s.size();
-            recvbuf.insert(recvbuf.end(), s.begin(), s.end());
+            recvcounts_out[static_cast<std::size_t>(origin)] = slot_of(origin).size();
         }
-        return recvbuf;
+        for (int origin = 0; origin < p; ++origin) {
+            const auto& s = slot_of(origin);
+            visit(origin, std::span<const T>(s.data(), s.size()));
+        }
     }
 #pragma GCC diagnostic pop
 

@@ -8,23 +8,33 @@
 /// velocity used inside the Bernoulli term. The order tag selects how
 /// each velocity is obtained:
 ///   * low:    W and Wb from the flat-sheet Fourier multiplier
-///             What(k) = i (k x gamma_hat) / (2|k|)    — 6 distributed FFTs
+///             What(k) = i (k x gamma_hat) / (2|k|)    — one batched FFT
+///             round trip of the 3 gamma components: 4 reshapes
 ///   * medium: W from a BR solver, Wb from the FFT     — both comm patterns
 ///   * high:   W = Wb from a BR solver                 — no FFTs
 /// The ZModel performs no direct communication itself; it invokes the FFT
 /// library, the BR solver, and the ProblemManager's halo exchanges —
 /// exactly the role the paper assigns it.
 ///
+/// The three gamma components share one contiguous spectral buffer
+/// (component-major). They go to spectral space together
+/// (DistributedFFT2D::to_spectral, 2 reshapes that each move all three
+/// components of a rectangle as one message), the multiplier is applied
+/// by global mode index in the spectral layout, and they come back
+/// together (from_spectral, 2 more reshapes) — never visiting the brick
+/// layout in between.
+///
 /// Scratch fields (gamma, velocities, Bernoulli scalar) and the spectral
-/// staging buffers are persistent members, so a steady-state derivative
+/// staging buffer are persistent members, so a steady-state derivative
 /// evaluation allocates nothing. On a device-resident ProblemManager the
 /// whole pipeline runs as device kernels over the field mirrors: gamma,
 /// the Bernoulli scalar, the derivative outputs and the FFT field<->
-/// spectral marshalling are kernels, the spectral buffers are pinned
-/// (registered) host ranges, and the distributed FFT's reshape staging
+/// spectral marshalling are kernels, the spectral buffer is a pinned
+/// (registered) host range, and the distributed FFT's reshape staging
 /// packs/unpacks on device straight into the pinned plan buffers
 /// (DistributedFFT2D::enable_device). Host code touches only the pinned
-/// spectral lines (the butterfly compute), never the field mirrors.
+/// spectral lines (the butterflies and the multiplier), never the field
+/// mirrors.
 #pragma once
 
 #include <numbers>
@@ -311,46 +321,44 @@ private:
         wdot_dev_.sync_to_device(*queue_);
         queue_->fence(); // devcheck: fenced — one-time mirror seed
         if (fft_) {
-            const auto n = fft_->local_box().size();
-            for (auto& s : spectral_) {
-                s.resize(n);
-                pinned_.emplace_back(std::span<const fft::cplx>(s.data(), s.size()));
-            }
+            // to_spectral/from_spectral resize the buffer between the
+            // brick and spectral layouts; reserving both keeps the pinned
+            // range in place.
+            spectral_.reserve(3 * std::max(fft_->local_box().size(),
+                                           fft_->spectral_layout().size()));
+            pinned_ = par::device::ScopedHostRegistration(
+                std::span<const fft::cplx>(spectral_.data(), spectral_.capacity()));
             fft_->enable_device(*queue_);
         }
         device_ = true;
     }
 
-    /// Low-order interface velocity: transform the three gamma components,
-    /// apply What = i (k x gamma_hat) / (2|k|), transform back. 3 forward
-    /// + 3 inverse distributed FFTs — the all-to-all load of the low-order
+    /// Low-order interface velocity: transform the three gamma components
+    /// to spectral space as one batch, apply What = i (k x gamma_hat) /
+    /// (2|k|), transform back — the all-to-all load of the low-order
     /// benchmarks (paper §4).
     void fft_velocity_host(const grid::NodeField<double, 3>& gamma,
                            grid::NodeField<double, 3>& velocity) {
         telemetry::PhaseScope scope(fft_phase());
         const auto& box = fft_->local_box();
         const auto n = box.size();
+        spectral_.resize(3 * n);
         for (int c = 0; c < 3; ++c) {
-            auto& s = spectral_[static_cast<std::size_t>(c)];
-            s.resize(n);
+            fft::cplx* sp = spectral_.data() + static_cast<std::size_t>(c) * n;
             std::size_t k = 0;
             for (int gi = box.i.begin; gi < box.i.end; ++gi) {
                 for (int gj = box.j.begin; gj < box.j.end; ++gj, ++k) {
-                    s[k] = {gamma(gi - box.i.begin, gj - box.j.begin, c), 0.0};
+                    sp[k] = {gamma(gi - box.i.begin, gj - box.j.begin, c), 0.0};
                 }
             }
-            fft_->forward(s);
         }
-
-        apply_multiplier();
-
+        spectral_velocity();
         for (int c = 0; c < 3; ++c) {
-            auto& s = spectral_[static_cast<std::size_t>(c)];
-            fft_->inverse(s);
+            const fft::cplx* sp = spectral_.data() + static_cast<std::size_t>(c) * n;
             std::size_t m = 0;
             for (int gi = box.i.begin; gi < box.i.end; ++gi) {
                 for (int gj = box.j.begin; gj < box.j.end; ++gj, ++m) {
-                    velocity(gi - box.i.begin, gj - box.j.begin, c) = s[m].real();
+                    velocity(gi - box.i.begin, gj - box.j.begin, c) = sp[m].real();
                 }
             }
         }
@@ -358,7 +366,7 @@ private:
 
     /// Device variant: gamma -> pinned spectral lines and spectral ->
     /// velocity marshalling are kernels; the distributed transforms and
-    /// the multiplier run on the pinned buffers.
+    /// the multiplier run on the pinned buffer.
     void fft_velocity_device(par::device::Queue& q) {
         telemetry::PhaseScope scope(fft_phase());
         const auto& box = fft_->local_box();
@@ -366,62 +374,73 @@ private:
         const int njb = box.j.extent();
         namespace dc = par::device::devcheck;
         const std::size_t nbox = box.size();
-        for (int c = 0; c < 3; ++c) {
-            fft::cplx* sp = spectral_[static_cast<std::size_t>(c)].data();
+        spectral_.resize(3 * nbox);
+        {
+            fft::cplx* sp = spectral_.data();
             auto g = std::as_const(gamma_).device_view();
             dc::declare(q, "zmodel gamma -> spectral",
-                        {dc::read(g.raw()), dc::write(sp, nbox * sizeof(fft::cplx))});
+                        {dc::read(g.raw()), dc::write(sp, 3 * nbox * sizeof(fft::cplx))});
             par::device::parallel_for_2d(q, nib, njb, [=](int i, int j, std::size_t k) {
-                sp[k] = {g(i, j, c), 0.0};
+                for (int c = 0; c < 3; ++c) {
+                    sp[static_cast<std::size_t>(c) * nbox + k] = {g(i, j, c), 0.0};
+                }
             });
         }
         // The transforms read the spectral lines from host code (the
         // butterflies); the reshapes inside enqueue their own kernels on
         // the same queue and fence before host compute.
         q.fence(); // devcheck: fenced — host butterflies read the spectral lines
-        for (auto& s : spectral_) fft_->forward(s);
-        apply_multiplier();
-        for (auto& s : spectral_) fft_->inverse(s);
-        for (int c = 0; c < 3; ++c) {
-            const fft::cplx* sp = spectral_[static_cast<std::size_t>(c)].data();
+        spectral_velocity();
+        {
+            const fft::cplx* sp = spectral_.data();
             auto v = w_fft_.device_view();
             dc::declare(q, "zmodel spectral -> velocity",
-                        {dc::read(sp, nbox * sizeof(fft::cplx)), dc::write(v.raw())});
+                        {dc::read(sp, 3 * nbox * sizeof(fft::cplx)), dc::write(v.raw())});
             par::device::parallel_for_2d(q, nib, njb, [=](int i, int j, std::size_t k) {
-                v(i, j, c) = sp[k].real();
+                for (int c = 0; c < 3; ++c) {
+                    v(i, j, c) = sp[static_cast<std::size_t>(c) * nbox + k].real();
+                }
             });
         }
     }
 
-    /// The flat-sheet Fourier multiplier, applied in place to the three
-    /// transformed gamma components (host compute on the spectral lines).
-    void apply_multiplier() {
-        const auto& box = fft_->local_box();
+    /// The spectral round trip shared by both pipelines: spectral_ holds
+    /// the three gamma components as bricks on entry and the three
+    /// velocity components as bricks on exit. In between they sit in the
+    /// FFT's spectral layout, where the flat-sheet multiplier is applied
+    /// in place by global mode index (host compute on the spectral lines).
+    void spectral_velocity() {
+        fft_->to_spectral(spectral_, 3);
+        const fft::Layout2D& layout = fft_->spectral_layout();
+        const std::size_t ns = layout.size();
+        fft::cplx* sx = spectral_.data();
+        fft::cplx* sy = sx + ns;
+        fft::cplx* sz = sy + ns;
         const int n0 = mesh_->global().num_nodes(0);
         const int n1 = mesh_->global().num_nodes(1);
         const double lx = mesh_->global().extent(0);
         const double ly = mesh_->global().extent(1);
         constexpr double tau = 2.0 * std::numbers::pi;
-        auto& spectral = spectral_;
-        std::size_t k = 0;
-        for (int gi = box.i.begin; gi < box.i.end; ++gi) {
-            for (int gj = box.j.begin; gj < box.j.end; ++gj, ++k) {
+        for (int gi = layout.box.i.begin; gi < layout.box.i.end; ++gi) {
+            for (int gj = layout.box.j.begin; gj < layout.box.j.end; ++gj) {
+                const std::size_t k = layout.offset(gi, gj);
                 double kx = tau * fft::DistributedFFT2D::signed_mode(gi, n0) / lx;
                 double ky = tau * fft::DistributedFFT2D::signed_mode(gj, n1) / ly;
                 double kn = std::sqrt(kx * kx + ky * ky);
                 if (kn == 0.0) {
-                    for (auto& s : spectral) s[k] = {0.0, 0.0};
+                    sx[k] = sy[k] = sz[k] = {0.0, 0.0};
                     continue;
                 }
-                fft::cplx gx = spectral[0][k], gy = spectral[1][k], gz = spectral[2][k];
+                fft::cplx gx = sx[k], gy = sy[k], gz = sz[k];
                 // i * (k x gamma_hat) / (2|k|), k = (kx, ky, 0).
                 const fft::cplx iunit{0.0, 1.0};
                 const double inv = 1.0 / (2.0 * kn);
-                spectral[0][k] = iunit * (ky * gz) * inv;
-                spectral[1][k] = iunit * (-kx * gz) * inv;
-                spectral[2][k] = iunit * (kx * gy - ky * gx) * inv;
+                sx[k] = iunit * (ky * gz) * inv;
+                sy[k] = iunit * (-kx * gz) * inv;
+                sz[k] = iunit * (kx * gy - ky * gx) * inv;
             }
         }
+        fft_->from_spectral(spectral_, 3);
     }
 
     comm::Communicator* comm_;
@@ -444,12 +463,14 @@ private:
     /// downloaded into the caller's fields.
     grid::NodeField<double, 3> zdot_dev_;
     grid::NodeField<double, 2> wdot_dev_;
-    std::array<std::vector<fft::cplx>, 3> spectral_;
-    // Device mode: the rank-thread's queue, plus pins for the spectral
-    // staging buffers (kernels write them directly).
+    /// The three gamma/velocity components back to back, in the brick or
+    /// the FFT's spectral layout (see spectral_velocity()).
+    std::vector<fft::cplx> spectral_;
+    // Device mode: the rank-thread's queue, plus the pin for the spectral
+    // buffer (kernels write it directly).
     par::device::Queue* queue_ = nullptr;
     bool device_ = false;
-    std::vector<par::device::ScopedHostRegistration> pinned_;
+    par::device::ScopedHostRegistration pinned_;
 };
 
 } // namespace beatnik

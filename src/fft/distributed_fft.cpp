@@ -48,8 +48,8 @@ DistributedFFT2D::DistributedFFT2D(comm::Communicator& comm, std::array<int, 2> 
       stage2_to_stage1_(comm.rank(), plan.stage2, plan.stage1),
       stage1_to_brick_(comm.rank(), plan.stage1, plan.bricks) {}
 
-void DistributedFFT2D::transform_stage(std::vector<cplx>& data, const Stage& stage,
-                                       bool inverse) const {
+void DistributedFFT2D::transform_stage(std::vector<cplx>& data, const Stage& stage, bool inverse,
+                                       int components) const {
     const Box2D& box = stage.layout.box;
     const int axis = stage.axis;
     const int n = axis == 0 ? box.i.extent() : box.j.extent();
@@ -58,42 +58,79 @@ void DistributedFFT2D::transform_stage(std::vector<cplx>& data, const Stage& sta
     const auto& plan = plan_for(static_cast<std::size_t>(n));
     const std::size_t stride = stage.layout.stride(axis);
     const grid::Range cross_range = axis == 0 ? box.j : box.i;
-    for (int cross = cross_range.begin; cross < cross_range.end; ++cross) {
-        cplx* line = data.data() + stage.layout.line_offset(axis, cross);
-        if (inverse) {
-            plan.inverse_strided(line, stride);
-        } else {
-            plan.forward_strided(line, stride);
+    for (int c = 0; c < components; ++c) {
+        cplx* comp = data.data() + static_cast<std::size_t>(c) * stage.layout.size();
+        for (int cross = cross_range.begin; cross < cross_range.end; ++cross) {
+            cplx* line = comp + stage.layout.line_offset(axis, cross);
+            if (inverse) {
+                plan.inverse_strided(line, stride);
+            } else {
+                plan.forward_strided(line, stride);
+            }
         }
     }
 }
 
+namespace {
+
+/// Pin \p buf's whole allocation, dropping any earlier pin first.
+void pin_allocation(std::vector<cplx>& buf, par::device::ScopedHostRegistration& pin) {
+    pin.release();
+    pin = par::device::ScopedHostRegistration(std::span<const cplx>(buf.data(), buf.capacity()));
+}
+
+} // namespace
+
 void DistributedFFT2D::enable_device(par::device::Queue& q) {
-    // Both stage buffers see both intermediate layouts across the
-    // forward/inverse routes; size them to the larger once so the pinned
-    // range survives every later resize().
-    const std::size_t smax = std::max(stage1_.layout.size(), stage2_.layout.size());
-    work_.reserve(smax);
-    work2_.reserve(smax);
-    work_.resize(smax);
-    work2_.resize(smax);
-    pinned_.clear();
-    pinned_.emplace_back(std::span<const cplx>(work_.data(), smax));
-    pinned_.emplace_back(std::span<const cplx>(work2_.data(), smax));
+    // Stage buffers are pinned over their whole allocation, so the
+    // reshapes' resize() calls never move the registered range.
+    work_.reserve(stage1_.layout.size());
+    work2_.reserve(stage2_.layout.size());
+    pin_allocation(work_, pinned_work_);
+    pin_allocation(work2_, pinned_work2_);
+    device_ = true;
     for (ReshapePlan* rp : {&to_stage1_, &stage1_to_stage2_, &stage2_to_brick_, &to_stage2_,
                             &stage2_to_stage1_, &stage1_to_brick_}) {
         rp->enable_device(q);
     }
 }
 
+void DistributedFFT2D::reserve_stage1(int components) {
+    const std::size_t need = static_cast<std::size_t>(components) * stage1_.layout.size();
+    if (!device_ || need <= work_.capacity()) return;
+    // Only the reshapes' kernels touch work_, and each fences before
+    // returning, so the queue is quiescent here.
+    work_.reserve(need);
+    pin_allocation(work_, pinned_work_);
+}
+
+void DistributedFFT2D::run_to_spectral(std::span<const cplx> in, std::vector<cplx>& out,
+                                       int components) {
+    const bool a2a = config_.use_alltoall;
+    reserve_stage1(components);
+    to_stage1_.execute(*comm_, brick_layout_, in, stage1_.layout, work_, a2a, components);
+    transform_stage(work_, stage1_, /*inverse=*/false, components);
+    stage1_to_stage2_.execute(*comm_, stage1_.layout, work_, stage2_.layout, out, a2a,
+                              components);
+    transform_stage(out, stage2_, /*inverse=*/false, components);
+}
+
+void DistributedFFT2D::run_from_spectral(std::vector<cplx>& in, std::vector<cplx>& out,
+                                         int components) {
+    const bool a2a = config_.use_alltoall;
+    transform_stage(in, stage2_, /*inverse=*/true, components);
+    reserve_stage1(components);
+    stage2_to_stage1_.execute(*comm_, stage2_.layout, in, stage1_.layout, work_, a2a,
+                              components);
+    transform_stage(work_, stage1_, /*inverse=*/true, components);
+    stage1_to_brick_.execute(*comm_, stage1_.layout, work_, brick_layout_, out, a2a,
+                             components);
+}
+
 void DistributedFFT2D::forward(std::vector<cplx>& data) {
     telemetry::Scope span("fft.forward", data.size() * sizeof(cplx));
     BEATNIK_REQUIRE(data.size() == brick_layout_.size(), "forward: data/brick size mismatch");
-    to_stage1_.execute(*comm_, brick_layout_, data, stage1_.layout, work_, config_.use_alltoall);
-    transform_stage(work_, stage1_, /*inverse=*/false);
-    stage1_to_stage2_.execute(*comm_, stage1_.layout, work_, stage2_.layout, work2_,
-                              config_.use_alltoall);
-    transform_stage(work2_, stage2_, /*inverse=*/false);
+    run_to_spectral(data, work2_, 1);
     stage2_to_brick_.execute(*comm_, stage2_.layout, work2_, brick_layout_, data,
                              config_.use_alltoall);
 }
@@ -101,20 +138,38 @@ void DistributedFFT2D::forward(std::vector<cplx>& data) {
 void DistributedFFT2D::inverse(std::vector<cplx>& data) {
     telemetry::Scope span("fft.inverse", data.size() * sizeof(cplx));
     BEATNIK_REQUIRE(data.size() == brick_layout_.size(), "inverse: data/brick size mismatch");
-    // Reverse path: brick -> stage2 -> stage1 -> brick.
-    to_stage2_.execute(*comm_, brick_layout_, data, stage2_.layout, work_, config_.use_alltoall);
-    transform_stage(work_, stage2_, /*inverse=*/true);
-    stage2_to_stage1_.execute(*comm_, stage2_.layout, work_, stage1_.layout, work2_,
-                              config_.use_alltoall);
-    transform_stage(work2_, stage1_, /*inverse=*/true);
-    stage1_to_brick_.execute(*comm_, stage1_.layout, work2_, brick_layout_, data,
-                             config_.use_alltoall);
+    to_stage2_.execute(*comm_, brick_layout_, data, stage2_.layout, work2_,
+                       config_.use_alltoall);
+    run_from_spectral(work2_, data, 1);
+}
+
+void DistributedFFT2D::to_spectral(std::vector<cplx>& data, int components) {
+    // Same span names as forward()/inverse(): the self time of these spans
+    // is the butterfly time, whichever entry point runs the stages.
+    telemetry::Scope span("fft.forward", data.size() * sizeof(cplx),
+                          static_cast<std::uint64_t>(components));
+    BEATNIK_REQUIRE(components >= 1 && data.size() == static_cast<std::size_t>(components) *
+                                                          brick_layout_.size(),
+                    "to_spectral: data size is not components x brick size");
+    run_to_spectral(data, data, components);
+}
+
+void DistributedFFT2D::from_spectral(std::vector<cplx>& data, int components) {
+    telemetry::Scope span("fft.inverse", data.size() * sizeof(cplx),
+                          static_cast<std::uint64_t>(components));
+    BEATNIK_REQUIRE(components >= 1 && data.size() == static_cast<std::size_t>(components) *
+                                                          stage2_.layout.size(),
+                    "from_spectral: data size is not components x spectral size");
+    run_from_spectral(data, data, components);
 }
 
 std::vector<PlannedPhase> DistributedFFT2D::plan_schedule(std::array<int, 2> global,
                                                           std::array<int, 2> topo_dims,
-                                                          FFTConfig config) {
+                                                          FFTConfig config, int components,
+                                                          bool spectral_end) {
+    BEATNIK_REQUIRE(components >= 1, "plan_schedule: component count must be positive");
     const int p = topo_dims[0] * topo_dims[1];
+    const auto ncomp = static_cast<std::size_t>(components);
     auto plan = make_stage_plan(global, topo_dims, config);
 
     auto phase_of = [&](const std::string& label, const std::vector<Box2D>& src,
@@ -126,7 +181,7 @@ std::vector<PlannedPhase> DistributedFFT2D::plan_schedule(std::array<int, 2> glo
             ReshapePlan rp(r, src, dst);
             for (const auto& t : rp.sends()) {
                 if (t.peer == r) continue; // self copies cost no network
-                phase.messages.push_back({r, t.peer, t.box.size() * sizeof(cplx)});
+                phase.messages.push_back({r, t.peer, ncomp * t.box.size() * sizeof(cplx)});
             }
         }
         phase.flops_per_rank.assign(static_cast<std::size_t>(p), 0.0);
@@ -143,7 +198,8 @@ std::vector<PlannedPhase> DistributedFFT2D::plan_schedule(std::array<int, 2> glo
                                 : 15.0 * dn * std::log2(dn > 1 ? dn : 2.0);
                 // Strided second stage pays a gather/scatter penalty.
                 if (fft_axis_after == 0 && !config.use_reorder) fl *= 1.6;
-                phase.flops_per_rank[static_cast<std::size_t>(r)] = fl * lines;
+                phase.flops_per_rank[static_cast<std::size_t>(r)] =
+                    fl * lines * static_cast<double>(components);
             }
         }
         return phase;
@@ -152,7 +208,7 @@ std::vector<PlannedPhase> DistributedFFT2D::plan_schedule(std::array<int, 2> glo
     std::vector<PlannedPhase> phases;
     phases.push_back(phase_of("brick->stage1", plan.bricks, plan.stage1, 1));
     phases.push_back(phase_of("stage1->stage2", plan.stage1, plan.stage2, 0));
-    phases.push_back(phase_of("stage2->brick", plan.stage2, plan.bricks, -1));
+    if (!spectral_end) phases.push_back(phase_of("stage2->brick", plan.stage2, plan.bricks, -1));
     return phases;
 }
 

@@ -66,7 +66,7 @@ void Reshape3D::execute(comm::Communicator& comm, const Layout3D& src, std::span
     // heFFTe's custom p2p path on persistent pre-matched channels (see
     // plan_cache.hpp).
     p2p_->execute(
-        comm, sends_, recvs_,
+        comm, sends_, recvs_, /*ncomp=*/1,
         [&](const Box3D& box, cplx* slot) { pack_into(src, in, box, slot); },
         [&](const Box3D& box, std::vector<cplx>& buf) { pack(src, in, box, buf); },
         [&](const Box3D& box, std::span<const cplx> data) { unpack(dst, out, box, data); },

@@ -10,13 +10,17 @@
 /// peers (`AllToAll=false`, heFFTe's custom p2p path): the plan is bound
 /// on first execution, packs rectangles straight into pre-registered
 /// channel buffers, and unpacks arrivals in completion order — no
-/// per-sweep staging allocation and real send/recv overlap.
+/// per-sweep staging allocation and real send/recv overlap. A reshape can
+/// carry several stacked component arrays at once: each transfer
+/// rectangle then moves all components as one message (component-major
+/// wire order), so a batch pays the message count of a single array.
 ///
 /// The plan itself is communication-free and can be built for any rank
 /// count — the scaling benchmarks build P=1024 plans and feed their
 /// message schedules straight into the netsim performance model.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -74,34 +78,48 @@ public:
 
     [[nodiscard]] bool device_enabled() const { return p2p_->queue != nullptr; }
 
-    /// Execute the reshape. \p in is the local data in \p src layout;
-    /// \p out is resized and filled in \p dst layout. \p use_alltoall
-    /// selects the collective path vs the persistent-plan p2p path.
+    /// Execute the reshape of \p components stacked arrays at once. \p in
+    /// holds the components back to back, each in \p src layout; \p out
+    /// is resized and filled the same way in \p dst layout. Every
+    /// transfer rectangle moves all components as one message, in
+    /// component-major wire order (component 0's rectangle in canonical
+    /// i-major order, then component 1's, ...), so a batched reshape costs
+    /// the message count of a single one. \p use_alltoall selects the
+    /// collective path vs the persistent-plan p2p path.
     void execute(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
-                 const Layout2D& dst, std::vector<cplx>& out, bool use_alltoall) const {
-        telemetry::Scope span("fft.reshape", in.size() * sizeof(cplx),
-                              use_alltoall ? 1 : 0);
-        BEATNIK_REQUIRE(in.size() == src.size(), "reshape: input size mismatch");
+                 const Layout2D& dst, std::vector<cplx>& out, bool use_alltoall,
+                 int components = 1) const {
+        telemetry::Scope span("fft.reshape", in.size_bytes(), use_alltoall ? 1 : 0);
+        BEATNIK_REQUIRE(components >= 1, "reshape: component count must be positive");
+        const auto n = static_cast<std::size_t>(components);
+        BEATNIK_REQUIRE(in.size() == n * src.size(), "reshape: input size mismatch");
         // Every element of the output is written exactly once by a recv
         // rectangle (the recv boxes are disjoint and cover the destination
         // box — checked below), so no zero-fill pass is needed: resize
         // without assign, and reused buffers skip even the one-time fill.
         BEATNIK_ASSERT(recv_coverage_ == dst.size(),
                        "reshape: recv boxes do not cover the destination layout");
-        out.resize(dst.size());
+        out.resize(n * dst.size());
         if (use_alltoall) {
-            execute_alltoall(comm, src, in, dst, out);
+            execute_alltoall(comm, src, in, dst, out, n);
         } else {
-            execute_p2p(comm, src, in, dst, out);
+            execute_p2p(comm, src, in, dst, out, n);
         }
     }
 
 private:
-    /// Pack a transfer rectangle in canonical (i-major) order.
+    /// Append a transfer rectangle of each of the \p n components of
+    /// \p in to \p buf, component-major, each in canonical (i-major)
+    /// order.
     static void pack(const Layout2D& src, std::span<const cplx> in, const Box2D& box,
-                     std::vector<cplx>& buf) {
-        for (int i = box.i.begin; i < box.i.end; ++i) {
-            for (int j = box.j.begin; j < box.j.end; ++j) buf.push_back(in[src.offset(i, j)]);
+                     std::size_t n, std::vector<cplx>& buf) {
+        for (std::size_t c = 0; c < n; ++c) {
+            const cplx* comp = in.data() + c * src.size();
+            for (int i = box.i.begin; i < box.i.end; ++i) {
+                for (int j = box.j.begin; j < box.j.end; ++j) {
+                    buf.push_back(comp[src.offset(i, j)]);
+                }
+            }
         }
     }
 
@@ -110,120 +128,142 @@ private:
     /// wire order matches memory order, so each box row moves as one
     /// block copy.
     static void pack_into(const Layout2D& src, std::span<const cplx> in, const Box2D& box,
-                          cplx* out) {
-        if (src.fast_axis == 1) {
-            const std::size_t row = static_cast<std::size_t>(box.j.extent());
-            for (int i = box.i.begin; i < box.i.end; ++i, out += row) {
-                std::copy_n(in.data() + src.offset(i, box.j.begin), row, out);
+                          std::size_t n, cplx* out) {
+        const std::size_t row = static_cast<std::size_t>(box.j.extent());
+        for (std::size_t c = 0; c < n; ++c) {
+            const cplx* comp = in.data() + c * src.size();
+            if (src.fast_axis == 1) {
+                for (int i = box.i.begin; i < box.i.end; ++i, out += row) {
+                    std::copy_n(comp + src.offset(i, box.j.begin), row, out);
+                }
+                continue;
             }
-            return;
-        }
-        for (int i = box.i.begin; i < box.i.end; ++i) {
-            for (int j = box.j.begin; j < box.j.end; ++j) *out++ = in[src.offset(i, j)];
+            for (int i = box.i.begin; i < box.i.end; ++i) {
+                for (int j = box.j.begin; j < box.j.end; ++j) *out++ = comp[src.offset(i, j)];
+            }
         }
     }
 
+    /// Inverse of pack_into: \p n components of wire-order \p buf into
+    /// layout \p dst of \p out.
     static void unpack(const Layout2D& dst, std::vector<cplx>& out, const Box2D& box,
-                       std::span<const cplx> buf) {
-        if (dst.fast_axis == 1) {
-            const std::size_t row = static_cast<std::size_t>(box.j.extent());
-            std::size_t k = 0;
-            for (int i = box.i.begin; i < box.i.end; ++i, k += row) {
-                std::copy_n(buf.data() + k, row, out.data() + dst.offset(i, box.j.begin));
+                       std::size_t n, std::span<const cplx> buf) {
+        const std::size_t row = static_cast<std::size_t>(box.j.extent());
+        const cplx* wire = buf.data();
+        for (std::size_t c = 0; c < n; ++c) {
+            cplx* comp = out.data() + c * dst.size();
+            if (dst.fast_axis == 1) {
+                for (int i = box.i.begin; i < box.i.end; ++i, wire += row) {
+                    std::copy_n(wire, row, comp + dst.offset(i, box.j.begin));
+                }
+                continue;
             }
-            return;
-        }
-        std::size_t k = 0;
-        for (int i = box.i.begin; i < box.i.end; ++i) {
-            for (int j = box.j.begin; j < box.j.end; ++j) out[dst.offset(i, j)] = buf[k++];
+            for (int i = box.i.begin; i < box.i.end; ++i) {
+                for (int j = box.j.begin; j < box.j.end; ++j) comp[dst.offset(i, j)] = *wire++;
+            }
         }
     }
 
+    /// The collective path: one packed send buffer, and each received
+    /// block (the self block included) unpacked straight out of the
+    /// transport as alltoallv_each() hands it over — no receive buffer.
     void execute_alltoall(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
-                          const Layout2D& dst, std::vector<cplx>& out) const {
+                          const Layout2D& dst, std::vector<cplx>& out, std::size_t n) const {
         const int p = comm.size();
         std::vector<std::size_t> sendcounts(static_cast<std::size_t>(p), 0);
         std::vector<cplx> packed;
-        packed.reserve(src.size());
+        packed.reserve(in.size());
         // sends_ is ordered by peer, matching alltoallv's block order.
         for (const auto& t : sends_) {
-            sendcounts[static_cast<std::size_t>(t.peer)] = t.box.size();
-            pack(src, in, t.box, packed);
+            sendcounts[static_cast<std::size_t>(t.peer)] = n * t.box.size();
+            pack(src, in, t.box, n, packed);
         }
         std::vector<std::size_t> recvcounts;
-        auto received = comm.alltoallv(std::span<const cplx>(packed),
-                                       std::span<const std::size_t>(sendcounts), recvcounts);
-        std::size_t off = 0;
-        for (const auto& t : recvs_) {
-            BEATNIK_REQUIRE(recvcounts[static_cast<std::size_t>(t.peer)] == t.box.size(),
-                            "reshape: unexpected block size from peer");
-            unpack(dst, out, t.box,
-                   std::span<const cplx>(received.data() + off, t.box.size()));
-            off += t.box.size();
-        }
-        BEATNIK_REQUIRE(off == received.size(), "reshape: received data not fully consumed");
+        std::size_t consumed = 0;
+        comm.alltoallv_each(
+            std::span<const cplx>(packed), std::span<const std::size_t>(sendcounts), recvcounts,
+            [&](int from, std::span<const cplx> block) {
+                if (block.empty()) return;
+                // recvs_ is ordered by peer too.
+                auto t = std::lower_bound(
+                    recvs_.begin(), recvs_.end(), from,
+                    [](const Transfer& tr, int peer) { return tr.peer < peer; });
+                BEATNIK_REQUIRE(t != recvs_.end() && t->peer == from &&
+                                    block.size() == n * t->box.size(),
+                                "reshape: unexpected block size from peer");
+                unpack(dst, out, t->box, n, block);
+                consumed += block.size();
+            });
+        BEATNIK_REQUIRE(consumed == out.size(), "reshape: received data not fully consumed");
     }
 
     void execute_p2p(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
-                     const Layout2D& dst, std::vector<cplx>& out) const {
+                     const Layout2D& dst, std::vector<cplx>& out, std::size_t n) const {
         if (p2p_->queue != nullptr) {
-            execute_p2p_device(comm, src, in, dst, out);
+            execute_p2p_device(comm, src, in, dst, out, n);
             return;
         }
         // heFFTe's custom path: only overlapping peers exchange messages,
         // through persistent pre-matched channels (see plan_cache.hpp).
         p2p_->execute(
-            comm, sends_, recvs_,
-            [&](const Box2D& box, cplx* slot) { pack_into(src, in, box, slot); },
-            [&](const Box2D& box, std::vector<cplx>& buf) { pack(src, in, box, buf); },
-            [&](const Box2D& box, std::span<const cplx> data) { unpack(dst, out, box, data); },
+            comm, sends_, recvs_, n,
+            [&](const Box2D& box, cplx* slot) { pack_into(src, in, box, n, slot); },
+            [&](const Box2D& box, std::vector<cplx>& buf) { pack(src, in, box, n, buf); },
+            [&](const Box2D& box, std::span<const cplx> data) { unpack(dst, out, box, n, data); },
             "reshape: unexpected p2p block size");
     }
 
-    /// devcheck footprint of \p box inside layout \p l at \p base: the
-    /// bounding byte range (offset() is monotone in both indices).
+    /// devcheck footprint of \p box across \p n components of layout
+    /// \p l stacked at \p base: the bounding byte range (offset() is
+    /// monotone in both indices).
     static par::device::devcheck::Region box_region(const Layout2D& l, const cplx* base,
-                                                    const Box2D& box, bool is_write) {
+                                                    const Box2D& box, std::size_t n,
+                                                    bool is_write) {
         if (box.size() == 0) return {nullptr, 0, is_write};
         const std::size_t first = l.offset(box.i.begin, box.j.begin);
-        const std::size_t last = l.offset(box.i.end - 1, box.j.end - 1);
+        const std::size_t last = (n - 1) * l.size() + l.offset(box.i.end - 1, box.j.end - 1);
         return {base + first, (last - first + 1) * sizeof(cplx), is_write};
     }
 
-    /// Device-kernel copy of a box from layout \p src in \p in to the
-    /// canonical i-major wire order at \p slot.
+    /// Device-kernel copy of a box of \p n components from layout \p src
+    /// in \p in to the component-major wire order at \p slot: one kernel,
+    /// one work item per (component, box row).
     static void device_pack_box(par::device::Queue& q, const Layout2D& src, const cplx* in,
-                                const Box2D& box, cplx* slot) {
+                                const Box2D& box, std::size_t n, cplx* slot) {
         const int ib = box.i.begin;
         const int jb = box.j.begin;
         const int rowlen = box.j.extent();
+        const auto rows = static_cast<std::size_t>(box.i.extent());
         const Layout2D layout = src;
         namespace dc = par::device::devcheck;
         dc::declare(q, "ReshapePlan device pack",
-                    {box_region(src, in, box, false),
-                     dc::write(slot, box.size() * sizeof(cplx))});
-        q.parallel_for(static_cast<std::size_t>(box.i.extent()), [=](std::size_t r) {
-            const int i = ib + static_cast<int>(r);
+                    {box_region(src, in, box, n, false),
+                     dc::write(slot, n * box.size() * sizeof(cplx))});
+        q.parallel_for(n * rows, [=](std::size_t r) {
+            const cplx* comp = in + (r / rows) * layout.size();
+            const int i = ib + static_cast<int>(r % rows);
             cplx* dst = slot + r * static_cast<std::size_t>(rowlen);
-            for (int j = jb; j < jb + rowlen; ++j) dst[j - jb] = in[layout.offset(i, j)];
+            for (int j = jb; j < jb + rowlen; ++j) dst[j - jb] = comp[layout.offset(i, j)];
         });
     }
 
     /// Device-kernel inverse: wire order at \p data into layout \p dst.
     static void device_unpack_box(par::device::Queue& q, const Layout2D& dst, cplx* out,
-                                  const Box2D& box, const cplx* data) {
+                                  const Box2D& box, std::size_t n, const cplx* data) {
         const int ib = box.i.begin;
         const int jb = box.j.begin;
         const int rowlen = box.j.extent();
+        const auto rows = static_cast<std::size_t>(box.i.extent());
         const Layout2D layout = dst;
         namespace dc = par::device::devcheck;
         dc::declare(q, "ReshapePlan device unpack",
-                    {dc::read(data, box.size() * sizeof(cplx)),
-                     box_region(dst, out, box, true)});
-        q.parallel_for(static_cast<std::size_t>(box.i.extent()), [=](std::size_t r) {
-            const int i = ib + static_cast<int>(r);
+                    {dc::read(data, n * box.size() * sizeof(cplx)),
+                     box_region(dst, out, box, n, true)});
+        q.parallel_for(n * rows, [=](std::size_t r) {
+            cplx* comp = out + (r / rows) * layout.size();
+            const int i = ib + static_cast<int>(r % rows);
             const cplx* s = data + r * static_cast<std::size_t>(rowlen);
-            for (int j = jb; j < jb + rowlen; ++j) out[layout.offset(i, j)] = s[j - jb];
+            for (int j = jb; j < jb + rowlen; ++j) comp[layout.offset(i, j)] = s[j - jb];
         });
     }
 
@@ -231,13 +271,14 @@ private:
     /// into the pinned plan buffers as kernels, each send publishing on
     /// its own completion event; the self rectangle is one direct
     /// in->out kernel; arrivals unpack as kernels and release on their
-    /// own events. The closing fence makes `out` host-readable (the
-    /// caller runs FFT butterflies on it next).
+    /// own events. Each kernel covers all components of its rectangle.
+    /// The closing fence makes `out` host-readable (the caller runs FFT
+    /// butterflies on it next).
     void execute_p2p_device(comm::Communicator& comm, const Layout2D& src,
                             std::span<const cplx> in, const Layout2D& dst,
-                            std::vector<cplx>& out) const {
+                            std::vector<cplx>& out, std::size_t n) const {
         auto& c = *p2p_;
-        c.bind(comm, sends_, recvs_);
+        c.bind(comm, sends_, recvs_, n);
         par::device::Queue& q = *c.queue;
         auto& rt = par::device::Runtime::instance();
         BEATNIK_REQUIRE(rt.device_accessible(in.data(), in.size_bytes()),
@@ -251,10 +292,10 @@ private:
         for (std::size_t s = 0; s < c.send_slots.size(); ++s) {
             const auto& [slot, t] = c.send_slots[s];
             const Box2D& box = sends_[t].box;
-            auto buf = c.plan->send_buffer(slot, box.size() * sizeof(cplx));
+            auto buf = c.plan->send_buffer(slot, n * box.size() * sizeof(cplx));
             c.send_keys[s] = buf.data();
             dc::channel_send_acquire(buf.data());
-            device_pack_box(q, src, in.data(), box, reinterpret_cast<cplx*>(buf.data()));
+            device_pack_box(q, src, in.data(), box, n, reinterpret_cast<cplx*>(buf.data()));
             q.record_event_into(c.send_events[s]);
         }
         for (std::size_t s = 0; s < c.send_slots.size(); ++s) {
@@ -269,16 +310,20 @@ private:
             const int ib = box.i.begin;
             const int jb = box.j.begin;
             const int rowlen = box.j.extent();
+            const auto rows = static_cast<std::size_t>(box.i.extent());
             const Layout2D lsrc = src;
             const Layout2D ldst = dst;
             const cplx* ip = in.data();
             cplx* op = out.data();
             dc::declare(q, "ReshapePlan self rectangle",
-                        {box_region(lsrc, ip, box, false), box_region(ldst, op, box, true)});
-            q.parallel_for(static_cast<std::size_t>(box.i.extent()), [=](std::size_t r) {
-                const int i = ib + static_cast<int>(r);
+                        {box_region(lsrc, ip, box, n, false), box_region(ldst, op, box, n, true)});
+            q.parallel_for(n * rows, [=](std::size_t r) {
+                const std::size_t comp = r / rows;
+                const cplx* from = ip + comp * lsrc.size();
+                cplx* to = op + comp * ldst.size();
+                const int i = ib + static_cast<int>(r % rows);
                 for (int j = jb; j < jb + rowlen; ++j) {
-                    op[ldst.offset(i, j)] = ip[lsrc.offset(i, j)];
+                    to[ldst.offset(i, j)] = from[lsrc.offset(i, j)];
                 }
             });
         }
@@ -288,10 +333,11 @@ private:
             BEATNIK_ASSERT(s >= 0);
             const Box2D& box = recvs_[c.recv_slots[static_cast<std::size_t>(s)].second].box;
             auto incoming = c.plan->recv_view_as<cplx>(s);
-            BEATNIK_REQUIRE(incoming.size() == box.size(), "reshape: unexpected p2p block size");
+            BEATNIK_REQUIRE(incoming.size() == n * box.size(),
+                            "reshape: unexpected p2p block size");
             c.recv_keys[static_cast<std::size_t>(s)] = incoming.data();
             dc::channel_recv_acquire(incoming.data(), "ReshapePlan device recv");
-            device_unpack_box(q, dst, out.data(), box, incoming.data());
+            device_unpack_box(q, dst, out.data(), box, n, incoming.data());
             q.record_event_into(c.recv_events[static_cast<std::size_t>(s)]);
             c.arrived.push_back(s);
         }

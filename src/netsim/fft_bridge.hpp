@@ -39,9 +39,9 @@ namespace beatnik::netsim {
 
 /// Convert one planned FFT transform (its reshape phases + per-rank FFT
 /// flops) to simulator phases. \p transforms repeats the whole transform
-/// (e.g. 6 for the low-order solver's 3 forward + 3 inverse transforms
-/// per derivative evaluation; forward and inverse schedules are mirror
-/// images with identical cost structure).
+/// (e.g. 2 for the low-order solver's batched to-spectral leg plus its
+/// from-spectral leg per derivative evaluation; forward and inverse
+/// schedules are mirror images with identical cost structure).
 [[nodiscard]] inline std::vector<Phase> fft_phases(const std::vector<fft::PlannedPhase>& planned,
                                                    const MachineModel& machine, int nranks,
                                                    int transforms = 1) {

@@ -144,6 +144,11 @@ public:
     [[nodiscard]] std::unique_ptr<QueueState> make_queue(const char* name) {
         auto st = std::make_unique<QueueState>();
         std::lock_guard lock(m_);
+        // Create the constructing thread's actor now, before the queue is
+        // fully built: thread_locals die in reverse order of construction,
+        // so a thread_local queue (par::device::default_queue) whose
+        // destructor fences still finds this thread's actor alive.
+        (void)host();
         st->id = next_actor_++;
         st->name = name;
         return st;

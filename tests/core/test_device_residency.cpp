@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/beatnik.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace b = beatnik;
 namespace bc = beatnik::comm;
@@ -261,6 +262,55 @@ TEST(DeviceResidency, WriterAfterDeviceStepMatchesHostRun) {
     EXPECT_FALSE(host_vtk.empty());
     EXPECT_EQ(host_vtk, dev_vtk) << "writer after a device-resident step saw stale host data";
     fs::remove_all(dir);
+}
+
+/// Spans named \p name opened on the calling thread's telemetry track.
+std::size_t spans_on_this_thread(const char* name) {
+    const auto& track = b::telemetry::thread_track();
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < track.size(); ++i) {
+        const auto& e = track[i];
+        if (e.kind == b::telemetry::EventKind::begin && std::strcmp(e.name, name) == 0) ++n;
+    }
+    return n;
+}
+
+/// One low-order derivative evaluation moves the three gamma components
+/// to spectral space and back as one batch: exactly 4 reshapes (brick ->
+/// stage 1 -> spectral -> stage 1 -> brick), on the host and the device
+/// pipelines and on the alltoall and p2p reshape paths. A per-component
+/// transform loop costs 18.
+TEST(DeviceResidency, LowOrderDerivativesRunFourReshapes) {
+    for (auto backend : {b::par::Backend::serial, b::par::Backend::device}) {
+        for (int fft_config : {7, 3}) {
+            ScopedDefaultBackend scoped(backend);
+            auto params = case_params(b::Order::low);
+            params.fft = b::fft::FFTConfig::from_table1_index(fft_config);
+            std::array<std::size_t, 4> reshapes{};
+            // Arm the registry directly (not telemetry::arm()), so no trace
+            // file is flushed at exit; cleared again below.
+            auto& registry = b::telemetry::Registry::instance();
+            registry.arm({});
+            run(4, [&](bc::Communicator& comm) {
+                b::Solver solver(comm, params);
+                solver.advance(1);
+                auto& pm = solver.state();
+                bg::NodeField<double, 3> zdot(solver.mesh().local());
+                bg::NodeField<double, 2> wdot(solver.mesh().local());
+                const std::size_t before = spans_on_this_thread("fft.reshape");
+                solver.zmodel().derivatives(pm, zdot, wdot);
+                reshapes[static_cast<std::size_t>(comm.rank())] =
+                    spans_on_this_thread("fft.reshape") - before;
+            });
+            b::telemetry::disarm();
+            registry.clear();
+            for (std::size_t r = 0; r < reshapes.size(); ++r) {
+                EXPECT_EQ(reshapes[r], 4u) << "rank " << r << ", backend "
+                                           << static_cast<int>(backend) << ", FFT config "
+                                           << fft_config;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -85,6 +85,24 @@ TEST(RocketrigCli, ExplicitBoundaryOverrideMovesDomain) {
     EXPECT_DOUBLE_EQ(p.surface_low[0], -3.0);
 }
 
+TEST(RocketrigCli, PeriodicNoDeckBoxEqualsSurfaceTile) {
+    // The cutoff solver (medium and high order) wraps periodic images by
+    // the surface tile, so the spatial box's x/y must be that tile; the
+    // z extent keeps its default.
+    for (const char* order : {"low", "medium", "high"}) {
+        auto p = parse({"--order", order, "--mesh", "32"});
+        EXPECT_EQ(p.boundary, b::Boundary::periodic);
+        for (int d = 0; d < 2; ++d) {
+            const auto k = static_cast<std::size_t>(d);
+            EXPECT_DOUBLE_EQ(p.box_low[k], p.surface_low[k]) << order << " axis " << d;
+            EXPECT_DOUBLE_EQ(p.box_high[k], p.surface_high[k]) << order << " axis " << d;
+        }
+        b::Params defaults;
+        EXPECT_DOUBLE_EQ(p.box_low[2], defaults.box_low[2]);
+        EXPECT_DOUBLE_EQ(p.box_high[2], defaults.box_high[2]);
+    }
+}
+
 TEST(RocketrigCli, UnknownDeckThrows) {
     EXPECT_THROW(parse({"--deck", "nonsense"}), b::InvalidArgument);
 }

@@ -3,6 +3,7 @@
 // and the static schedule planner must conserve bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numbers>
 
 #include "base/rng.hpp"
@@ -65,6 +66,11 @@ std::vector<DistCase> all_cases() {
     }
     cases.push_back({{3, 3}, {27, 9}, 0});
     cases.push_back({{3, 3}, {27, 9}, 7});
+    // Brick and spectral (stage-2) boxes of different sizes: rank 0 holds
+    // a 15x15 brick but a 30x8 column pencil, so the batched transforms
+    // resize their array between the layouts.
+    cases.push_back({{2, 2}, {30, 30}, 3});
+    cases.push_back({{2, 2}, {30, 30}, 7});
     cases.push_back({{1, 1}, {8, 8}, 5}); // single rank
     return cases;
 }
@@ -119,6 +125,94 @@ TEST_P(DistributedFFTP, RoundTripIsIdentity) {
         fft.inverse(local);
         for (std::size_t k = 0; k < local.size(); ++k) {
             EXPECT_LT(std::abs(local[k] - original[k]), 1e-9);
+        }
+    });
+}
+
+TEST_P(DistributedFFTP, BatchedSpectralRoundTripMatchesPerComponentTransforms) {
+    // A 3-component to_spectral()/from_spectral() must reproduce three
+    // single-component forward()/inverse() calls bitwise: the spectral
+    // values by global mode index, the round trip element by element.
+    // Run once on the host and once more after enable_device, where the
+    // pinned batch buffer must stay in place while it is resized between
+    // the brick and spectral layouts.
+    const auto tc = GetParam();
+    const int p = tc.topo[0] * tc.topo[1];
+    constexpr int kComponents = 3;
+    const auto nglobal = static_cast<std::size_t>(tc.global[0]) * tc.global[1];
+    std::array<std::vector<cplx>, kComponents> inputs;
+    std::array<std::vector<cplx>, kComponents> spectra; // per-component forward(), global
+    for (int c = 0; c < kComponents; ++c) {
+        inputs[static_cast<std::size_t>(c)] =
+            global_signal(tc.global[0], tc.global[1], 500 + static_cast<std::uint64_t>(c));
+        spectra[static_cast<std::size_t>(c)].assign(nglobal, cplx{});
+    }
+    auto gidx = [&](int i, int j) { return static_cast<std::size_t>(i) * tc.global[1] + j; };
+
+    run(p, [&](bc::Communicator& comm) {
+        bf::DistributedFFT2D fft(comm, tc.global, tc.topo,
+                                 bf::FFTConfig::from_table1_index(tc.config_index));
+        const auto& box = fft.local_box();
+        const bf::Layout2D& spec = fft.spectral_layout();
+        const std::size_t nb = box.size();
+        const std::size_t ns = spec.size();
+
+        // Reference: one forward()/inverse() per component.
+        std::vector<cplx> batch_in(kComponents * nb);
+        std::vector<cplx> round_trips(kComponents * nb);
+        for (int c = 0; c < kComponents; ++c) {
+            const auto& in = inputs[static_cast<std::size_t>(c)];
+            cplx* dst = batch_in.data() + static_cast<std::size_t>(c) * nb;
+            std::size_t k = 0;
+            for (int i = box.i.begin; i < box.i.end; ++i) {
+                for (int j = box.j.begin; j < box.j.end; ++j) dst[k++] = in[gidx(i, j)];
+            }
+            std::vector<cplx> one(dst, dst + nb);
+            fft.forward(one);
+            k = 0;
+            for (int i = box.i.begin; i < box.i.end; ++i) {
+                for (int j = box.j.begin; j < box.j.end; ++j) {
+                    spectra[static_cast<std::size_t>(c)][gidx(i, j)] = one[k++];
+                }
+            }
+            fft.inverse(one);
+            std::copy(one.begin(), one.end(),
+                      round_trips.begin() + static_cast<std::ptrdiff_t>(c * nb));
+        }
+        comm.barrier(); // every rank's spectrum is assembled
+
+        beatnik::par::device::Queue q;
+        beatnik::par::device::ScopedHostRegistration pin;
+        std::vector<cplx> batch;
+        for (bool device : {false, true}) {
+            if (device) {
+                batch.reserve(kComponents * std::max(nb, ns));
+                pin = beatnik::par::device::ScopedHostRegistration(
+                    std::span<const cplx>(batch.data(), batch.capacity()));
+                fft.enable_device(q);
+            }
+            batch = batch_in;
+            const cplx* storage = batch.data();
+            fft.to_spectral(batch, kComponents);
+            EXPECT_EQ(batch.size(), kComponents * ns);
+            std::size_t mismatches = 0;
+            for (int c = 0; c < kComponents && batch.size() == kComponents * ns; ++c) {
+                const cplx* got = batch.data() + static_cast<std::size_t>(c) * ns;
+                for (int i = spec.box.i.begin; i < spec.box.i.end; ++i) {
+                    for (int j = spec.box.j.begin; j < spec.box.j.end; ++j) {
+                        mismatches += got[spec.offset(i, j)] !=
+                                      spectra[static_cast<std::size_t>(c)][gidx(i, j)];
+                    }
+                }
+            }
+            EXPECT_EQ(mismatches, 0u) << "spectral values differ from forward(), rank "
+                                      << comm.rank() << (device ? " after enable_device" : "");
+            fft.from_spectral(batch, kComponents);
+            EXPECT_EQ(batch, round_trips) << "rank " << comm.rank()
+                                          << (device ? " after enable_device" : "");
+            if (device) {
+                EXPECT_EQ(batch.data(), storage) << "pinned batch buffer moved";
+            }
         }
     });
 }
@@ -196,6 +290,54 @@ TEST(Reshape, EnableDeviceAfterHostBindPinsTheExistingPlan) {
         plan.execute(comm, src, std::span<const cplx>(in), dst, dev_out,
                      /*use_alltoall=*/false);
         EXPECT_EQ(host_out, dev_out) << "rank " << comm.rank();
+    });
+}
+
+TEST(Reshape, BatchedComponentsMatchSingleComponentExecutes) {
+    // One execute over 3 stacked components must equal 3 single-component
+    // executes, on the alltoall path, the host p2p plan (which rebinds
+    // its slots at the larger count) and the device p2p plan.
+    constexpr int kComponents = 3;
+    run(4, [](bc::Communicator& comm) {
+        std::array<int, 2> global{12, 18};
+        auto dims = beatnik::grid::dims_create_2d(comm.size());
+        auto bricks = bf::brick_boxes(global, dims);
+        auto pencils = bf::pencil_boxes(global, comm.size(), /*long_axis=*/0);
+        bf::ReshapePlan plan(comm.rank(), bricks, pencils);
+        bf::Layout2D src{bricks[static_cast<std::size_t>(comm.rank())], 1};
+        bf::Layout2D dst{pencils[static_cast<std::size_t>(comm.rank())], 0};
+        std::vector<cplx> in(kComponents * src.size());
+        for (std::size_t k = 0; k < in.size(); ++k) {
+            in[k] = {static_cast<double>(k), static_cast<double>(comm.rank())};
+        }
+        auto singles = [&](bool alltoall) {
+            std::vector<cplx> want;
+            std::vector<cplx> one;
+            for (int c = 0; c < kComponents; ++c) {
+                plan.execute(comm, src,
+                             std::span<const cplx>(in).subspan(c * src.size(), src.size()),
+                             dst, one, alltoall);
+                want.insert(want.end(), one.begin(), one.end());
+            }
+            return want;
+        };
+        for (bool alltoall : {true, false}) {
+            auto want = singles(alltoall);
+            std::vector<cplx> got;
+            plan.execute(comm, src, std::span<const cplx>(in), dst, got, alltoall, kComponents);
+            EXPECT_EQ(got, want) << "rank " << comm.rank() << (alltoall ? " alltoall" : " p2p");
+        }
+
+        auto want = singles(/*alltoall=*/false);
+        beatnik::par::device::Queue q;
+        beatnik::par::device::ScopedHostRegistration pin_in{std::span<const cplx>(in)};
+        plan.enable_device(q);
+        std::vector<cplx> got(kComponents * dst.size());
+        beatnik::par::device::ScopedHostRegistration pin_out{
+            std::span<const cplx>(got.data(), got.size())};
+        plan.execute(comm, src, std::span<const cplx>(in), dst, got, /*use_alltoall=*/false,
+                     kComponents);
+        EXPECT_EQ(got, want) << "rank " << comm.rank() << " device p2p";
     });
 }
 
@@ -281,6 +423,32 @@ TEST(SchedulePlanner, ConservesBytesAcrossPhases) {
         EXPECT_GT(fl0, 0.0);
         EXPECT_GT(fl1, 0.0);
         EXPECT_DOUBLE_EQ(fl2, 0.0);
+
+        // The batched to-spectral leg: the first two phases only, each
+        // carrying 3x the messages' bytes and 3x the butterflies, with the
+        // same message list.
+        auto batched = bf::DistributedFFT2D::plan_schedule(
+            {64, 64}, {4, 4}, bf::FFTConfig::from_table1_index(idx), /*components=*/3,
+            /*spectral_end=*/true);
+        ASSERT_EQ(batched.size(), 2u);
+        for (std::size_t ph = 0; ph < batched.size(); ++ph) {
+            EXPECT_EQ(batched[ph].label, phases[ph].label);
+            ASSERT_EQ(batched[ph].messages.size(), phases[ph].messages.size());
+            std::size_t total = 0;
+            for (std::size_t k = 0; k < batched[ph].messages.size(); ++k) {
+                const auto& m = batched[ph].messages[k];
+                const auto& single = phases[ph].messages[k];
+                EXPECT_EQ(m.src, single.src);
+                EXPECT_EQ(m.dst, single.dst);
+                EXPECT_EQ(m.bytes, 3 * single.bytes);
+                total += m.bytes;
+            }
+            EXPECT_LE(total, 3u * 64u * 64u * sizeof(cplx));
+            for (std::size_t r = 0; r < batched[ph].flops_per_rank.size(); ++r) {
+                EXPECT_DOUBLE_EQ(batched[ph].flops_per_rank[r],
+                                 3.0 * phases[ph].flops_per_rank[r]);
+            }
+        }
     }
 }
 

@@ -227,15 +227,19 @@ TEST(FftBridge, ExecutablePlanSchedulesReplayThroughTheModel) {
 
 TEST(FftBridge, WeakScalingRuntimeGrowsWithRankCount) {
     // The qualitative Fig. 3 property: fixed per-rank mesh, growing P
-    // => growing runtime (all-to-all cost scales with P).
+    // => growing runtime (all-to-all cost scales with P). The schedule is
+    // the low-order solver's: one 3-component to-spectral leg and its
+    // mirror-image from-spectral leg.
     auto m = bn::MachineModel::lassen();
     auto runtime = [&](int side_ranks) {
         int p = side_ranks * side_ranks;
         std::array<int, 2> global{128 * side_ranks, 128 * side_ranks};
         auto planned = bf::DistributedFFT2D::plan_schedule(global, {side_ranks, side_ranks},
-                                                           bf::FFTConfig{});
+                                                           bf::FFTConfig{}, /*components=*/3,
+                                                           /*spectral_end=*/true);
+        EXPECT_EQ(planned.size(), 2u);
         bn::NetworkSimulator sim(m, p);
-        return sim.simulate(bn::fft_phases(planned, m, p, 6)).makespan;
+        return sim.simulate(bn::fft_phases(planned, m, p, /*transforms=*/2)).makespan;
     };
     double t2 = runtime(2);   // 4 ranks
     double t4 = runtime(4);   // 16 ranks

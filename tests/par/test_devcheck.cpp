@@ -14,11 +14,13 @@
 #include <cstddef>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "comm/transport/shm.hpp"
 #include "grid/field.hpp"
+#include "par/device/device.hpp"
 #include "par/device/queue.hpp"
 #include "par/device/scan.hpp"
 
@@ -51,6 +53,24 @@ protected:
 
 void noop_kernel(bd::Queue& q) {
     q.parallel_for(1, [](std::size_t) {});
+}
+
+// ------------------------------------------------------ checker lifetime
+
+TEST_F(Devcheck, ThreadLocalDefaultQueueFencesAfterThreadExitStarts) {
+    // A thread whose first device call builds its default queue fences
+    // that thread_local queue from its destructor at thread exit. The
+    // thread's checker actor must outlive it: built after the queue, it
+    // used to die first, and the closing fence merged into a freed clock
+    // (heap corruption; a use-after-free under ASan).
+    for (int t = 0; t < 8; ++t) {
+        std::thread([] {
+            bd::Queue& q = bd::default_queue();
+            noop_kernel(q);
+            q.fence(); // the host clock now holds the queue's entries
+        }).join();
+    }
+    EXPECT_EQ(dc::take_hazard_count(), 0u);
 }
 
 // --------------------------------------------- class 1: cross-queue races
