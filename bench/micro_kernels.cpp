@@ -8,7 +8,8 @@
 ///
 /// Records (compare_benchmarks.py schema; regression-tracked against
 /// bench/results/baseline_micro_kernels.json in CI):
-///   * op "br_pairs",  algo scalar — ns per kernel pair evaluation;
+///   * op "br_pairs",  algo scalar | simd — ns per kernel pair evaluation
+///     (br_kernel one pair at a time vs br_sweep's SIMD target block);
 ///   * op "nbr_build", algo bin_host | cell_host | cell_device — ns per
 ///     point to build the search structure (BinGrid3D hash-map binning
 ///     vs CellList3D count–scan–fill, serial and device kernels);
@@ -77,12 +78,17 @@ std::vector<double> random_cloud(std::size_t n, std::uint64_t seed, double exten
     return pts;
 }
 
-Result bench_br_pairs(std::size_t n, int iters) {
+/// ns per BR pair on one source cloud: the scalar kernel (target 0
+/// against every source) and br_sweep (the first kBrSweepLanes points as
+/// targets, one SIMD block, against the same sources).
+std::vector<Result> bench_br_pairs(std::size_t n, int iters) {
     beatnik::SplitMix64 rng(3);
     std::vector<b::Vec3> pos(n), gam(n);
+    std::vector<b::SourcePoint> src(n);
     for (std::size_t i = 0; i < n; ++i) {
         pos[i] = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
         gam[i] = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+        src[i] = {pos[i], gam[i]};
     }
     volatile double sink = 0.0;
     double ns = time_ns(iters, [&] {
@@ -90,9 +96,16 @@ Result bench_br_pairs(std::size_t n, int iters) {
         for (std::size_t i = 0; i < n; ++i) acc += b::br_kernel(pos[0], pos[i], gam[i], 1e-4);
         sink = acc.x;
     });
+    double simd_ns = time_ns(iters, [&] {
+        b::Vec3 acc[b::kBrSweepLanes] = {};
+        b::br_sweep(pos.data(), b::kBrSweepLanes, src.data(), n, 1e-4, acc);
+        sink = acc[0].x;
+    });
     (void)sink;
-    return {"br_pairs", "scalar", 1, n * sizeof(b::Vec3) * 2, iters,
-            ns / static_cast<double>(n)};
+    const std::size_t bytes = n * sizeof(b::Vec3) * 2;
+    return {{"br_pairs", "scalar", 1, bytes, iters, ns / static_cast<double>(n)},
+            {"br_pairs", "simd", 1, bytes, iters,
+             simd_ns / static_cast<double>(n * b::kBrSweepLanes)}};
 }
 
 /// Build ns/point for one of the three search structures.
@@ -250,7 +263,7 @@ int main(int argc, char** argv) {
     auto n = [quick](int full) { return quick ? std::max(1, full / 50) : full; };
 
     std::vector<Result> results;
-    results.push_back(bench_br_pairs(1 << 14, n(500)));
+    for (const Result& r : bench_br_pairs(1 << 14, n(500))) results.push_back(r);
     // 20k points at cutoff-solver-like density (~8 neighbors/point).
     constexpr std::size_t kPoints = 20000;
     constexpr double kRadius = 0.2;

@@ -3,6 +3,7 @@
 /// drivers (kept header-only and dependency-free on purpose).
 #pragma once
 
+#include <charconv>
 #include <cstdlib>
 #include <string_view>
 #include <iostream>
@@ -30,13 +31,15 @@ public:
         }
     }
 
+    /// Numeric flags throw InvalidArgument naming the flag unless the
+    /// whole value parses as the requested type.
     [[nodiscard]] int get_int(const std::string& key, int fallback) const {
         auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stoi(it->second);
+        return it == values_.end() ? fallback : parse<int>(key, it->second, "an integer");
     }
     [[nodiscard]] double get_double(const std::string& key, double fallback) const {
         auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stod(it->second);
+        return it == values_.end() ? fallback : parse<double>(key, it->second, "a number");
     }
     [[nodiscard]] std::string get_string(const std::string& key, std::string fallback) const {
         auto it = values_.find(key);
@@ -45,6 +48,17 @@ public:
     [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) > 0; }
 
 private:
+    template <class T>
+    static T parse(const std::string& key, const std::string& text, const char* expected) {
+        T value{};
+        const char* end = text.data() + text.size();
+        auto [ptr, ec] = std::from_chars(text.data(), end, value);
+        if (ec != std::errc{} || ptr != end) {
+            throw InvalidArgument("--" + key + ": expected " + expected + ", got '" + text + "'");
+        }
+        return value;
+    }
+
     std::map<std::string, std::string> values_;
 };
 
@@ -79,6 +93,20 @@ inline const char* order_name(Order o) {
 /// Rank-0-only stream (avoids interleaved output from rank threads).
 inline void print0(const comm::Communicator& comm, const std::string& line) {
     if (comm.rank() == 0) std::cout << line << '\n';
+}
+
+/// Run a driver's body. A beatnik::Error (bad flag value, rejected
+/// configuration, failed rank) ends the program with "<prog>: <what>" on
+/// stderr and exit code 1 instead of std::terminate.
+template <class Body>
+int guarded_main(const char* prog, Body&& body) {
+    try {
+        body();
+    } catch (const Error& e) {
+        std::cerr << prog << ": " << e.what() << "\n";
+        return 1;
+    }
+    return 0;
 }
 
 } // namespace beatnik::examples

@@ -64,30 +64,31 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    const int nranks = args.get_int("ranks", 4);
-    const int steps = args.get_int("steps", 20);
-    const int write_freq = args.get_int("write-freq", 0);
     const bool census = args.has("census");
     const std::string output = args.get_string("output", "rocketrig");
+    const std::string deck = args.get_string("deck", "none");
 
     // A named deck (src/core/input_decks.hpp) provides the baseline;
     // explicitly passed flags override individual fields on top of it —
     // regardless of their position relative to --deck (the assembly and
     // its precedence rules live in rocketrig_config.hpp, unit-tested by
     // tests/core/test_rocketrig_cli.cpp).
-    const int mesh = args.get_int("mesh", 96);
-    const std::string deck = args.get_string("deck", "none");
+    int nranks = 0, steps = 0, write_freq = 0, mesh = 0;
     b::Params params;
     try {
+        nranks = args.get_int("ranks", 4);
+        steps = args.get_int("steps", 20);
+        write_freq = args.get_int("write-freq", 0);
+        mesh = args.get_int("mesh", 96);
         params = ex::build_rocketrig_params(args);
     } catch (const b::Error& e) { // bad flag value or invalid Params
-        std::cerr << e.what() << "\n";
+        std::cerr << "rocketrig: " << e.what() << "\n";
         return 2;
     }
 
     // A configuration the solver rejects at run time (a failed check on
     // some rank) ends the run with its message, not std::terminate.
-    try {
+    return ex::guarded_main("rocketrig", [&] {
         b::comm::Context::run(nranks, [&](b::comm::Communicator& comm) {
             b::Solver solver(comm, params);
             {
@@ -130,9 +131,5 @@ int main(int argc, char** argv) {
                 ex::print0(comm, os.str());
             }
         });
-    } catch (const b::Error& e) {
-        std::cerr << "rocketrig: " << e.what() << "\n";
-        return 1;
-    }
-    return 0;
+    });
 }

@@ -62,6 +62,12 @@ namespace {
 ContextState::ContextState(int world_size) : active_(enabled()) {
     blocked_.resize(static_cast<std::size_t>(world_size < 1 ? 1 : world_size));
     knot_.reserve(blocked_.size());
+    // block() copies a wait's edges into the rank's reused vector. Size it
+    // now (one edge per peer covers barriers and one-slot-per-peer plans)
+    // so the first blocked wait of a steady-state loop does not allocate.
+    if (active_) {
+        for (Blocked& b : blocked_) b.edges.reserve(blocked_.size());
+    }
 }
 
 void ContextState::report_locked(const std::string& msg) {
@@ -72,6 +78,13 @@ void ContextState::report_locked(const std::string& msg) {
 void ContextState::register_plan(PlanDecl decl, std::uint64_t& out_id) {
     std::lock_guard lock(mutex_);
     if (!active_) return;
+
+    // A plan's OR-wait registers one edge per idle recv slot, and a plan
+    // can hold more slots than there are ranks (a periodic halo's eight
+    // directions on four ranks): grow the reserve at build, not in a wait.
+    if (decl.self_world >= 0 && static_cast<std::size_t>(decl.self_world) < blocked_.size()) {
+        blocked_[static_cast<std::size_t>(decl.self_world)].edges.reserve(decl.recvs.size());
+    }
 
     // Immediate per-slot checks first — they need no other rank's plan.
     auto check_slot = [&](const SlotDecl& s, bool is_send) {

@@ -13,9 +13,11 @@
 /// persistent members. On a device-resident state they are pinned and the
 /// target/block pack and the final velocity write run as device kernels
 /// over the field mirrors; the interaction sweep itself already dispatches
-/// through par::parallel_for onto the device pool.
+/// through par::parallel_for onto the device pool, one br_sweep call per
+/// block of kBrSweepLanes targets, so every backend runs the same sweep.
 #pragma once
 
+#include <algorithm>
 #include <numbers>
 
 #include "core/br_solver.hpp"
@@ -103,12 +105,10 @@ public:
             const Vec3* tp = targets_.data();
             Vec3* ap = accum_.data();
             const double eps2 = eps2_;
-            par::parallel_for(n_own, [=](std::size_t t) {
-                Vec3 sum{};
-                for (std::size_t s = 0; s < bn; ++s) {
-                    sum += br_kernel(tp[t], bp[s].pos, bp[s].gamma, eps2);
-                }
-                ap[t] += sum;
+            const std::size_t nblocks = (n_own + kBrSweepLanes - 1) / kBrSweepLanes;
+            par::parallel_for(nblocks, [=](std::size_t b) {
+                const std::size_t t = b * kBrSweepLanes;
+                br_sweep(tp + t, std::min(kBrSweepLanes, n_own - t), bp, bn, eps2, ap + t);
             });
             if (step + 1 < p) {
                 comm.recv<SourcePoint>(incoming_, left, kRingTag);
@@ -146,10 +146,6 @@ public:
     }
 
 private:
-    struct SourcePoint {
-        Vec3 pos;
-        Vec3 gamma;
-    };
     static double square(double v) { return v * v; }
 
     /// Size the persistent staging once. Blocks arriving around the ring

@@ -4,15 +4,20 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <numbers>
 #include <vector>
 
 #include "core/beatnik.hpp"
 #include "search/neighbor_search.hpp"
+#include "test_env.hpp"
 
 namespace b = beatnik;
 namespace bc = beatnik::comm;
 namespace bg = beatnik::grid;
+namespace bp = beatnik::par;
+namespace bt = beatnik::test;
 
 namespace {
 
@@ -38,15 +43,22 @@ b::Params br_params(int n, b::BRSolverKind kind, double cutoff) {
     return p;
 }
 
-/// Compute the BR velocity field with a given solver on the current state
-/// and return the L2 norm plus a checksum vector for comparisons.
+/// L2 norm, max and a few fixed-node samples of a BR velocity field.
 struct VelocityProbe {
     double l2 = 0.0;
     double max = 0.0;
     std::vector<double> samples; // a few fixed global nodes
 };
 
-VelocityProbe probe_velocity(bc::Communicator& comm, const b::Params& params) {
+/// Compute the BR velocity field with the solver \p params selects, from
+/// a seeded vorticity, and hand the mesh and owned velocities to \p visit.
+/// With \p mirror_fields on a device-resident state, gamma and the
+/// velocity get device mirrors, so the solver runs its device kernels
+/// over pinned staging.
+void solve_velocity(
+    bc::Communicator& comm, const b::Params& params,
+    const std::function<void(const b::SurfaceMesh&, const bg::NodeField<double, 3>&)>& visit,
+    bool mirror_fields = false) {
     b::SurfaceMesh mesh(comm, params);
     b::ProblemManager pm(comm, mesh, params);
     std::unique_ptr<b::BRSolverBase> solver;
@@ -78,28 +90,46 @@ VelocityProbe probe_velocity(bc::Communicator& comm, const b::Params& params) {
         }
     }
     bg::NodeField<double, 3> vel(local);
-    solver->compute_velocity(pm, gamma, vel);
+    if (mirror_fields && pm.device_resident()) {
+        auto& q = pm.device_queue();
+        pm.ensure_device_current();
+        gamma.enable_device_mirror();
+        gamma.sync_to_device(q);
+        vel.enable_device_mirror();
+        solver->compute_velocity(pm, gamma, vel);
+        vel.sync_to_host(q);
+        q.fence();
+    } else {
+        solver->compute_velocity(pm, gamma, vel);
+    }
+    visit(mesh, vel);
+}
 
+VelocityProbe probe_velocity(bc::Communicator& comm, const b::Params& params) {
     VelocityProbe out;
-    double sum = 0.0, mx = 0.0;
-    for (int i = 0; i < local.owned_extent(0); ++i) {
-        for (int j = 0; j < local.owned_extent(1); ++j) {
-            double v2 = vel(i, j, 0) * vel(i, j, 0) + vel(i, j, 1) * vel(i, j, 1) +
-                        vel(i, j, 2) * vel(i, j, 2);
-            sum += v2;
-            mx = std::max(mx, std::sqrt(v2));
+    solve_velocity(comm, params, [&](const b::SurfaceMesh& mesh,
+                                     const bg::NodeField<double, 3>& vel) {
+        const auto& local = mesh.local();
+        double sum = 0.0, mx = 0.0;
+        for (int i = 0; i < local.owned_extent(0); ++i) {
+            for (int j = 0; j < local.owned_extent(1); ++j) {
+                double v2 = vel(i, j, 0) * vel(i, j, 0) + vel(i, j, 1) * vel(i, j, 1) +
+                            vel(i, j, 2) * vel(i, j, 2);
+                sum += v2;
+                mx = std::max(mx, std::sqrt(v2));
+            }
         }
-    }
-    out.l2 = std::sqrt(comm.allreduce_value(sum, bc::op::Sum{}));
-    out.max = comm.allreduce_value(mx, bc::op::Max{});
-    // Sample fixed global nodes for cross-decomposition comparisons.
-    for (int g : {0, 5, 9}) {
-        double v = 0.0;
-        if (local.owned_global(0).contains(g) && local.owned_global(1).contains(g)) {
-            v = vel(g - local.global_offset(0), g - local.global_offset(1), 2);
+        out.l2 = std::sqrt(comm.allreduce_value(sum, bc::op::Sum{}));
+        out.max = comm.allreduce_value(mx, bc::op::Max{});
+        // Sample fixed global nodes for cross-decomposition comparisons.
+        for (int g : {0, 5, 9}) {
+            double v = 0.0;
+            if (local.owned_global(0).contains(g) && local.owned_global(1).contains(g)) {
+                v = vel(g - local.global_offset(0), g - local.global_offset(1), 2);
+            }
+            out.samples.push_back(comm.allreduce_value(v, bc::op::Sum{}));
         }
-        out.samples.push_back(comm.allreduce_value(v, bc::op::Sum{}));
-    }
+    });
     return out;
 }
 
@@ -185,6 +215,108 @@ TEST(BRSolvers, DesingularizationBoundsTheKernel) {
     auto close = b::br_kernel({1e-8, 0.0, 0.0}, {0.0, 0.0, 0.0}, g, eps2);
     EXPECT_LT(b::norm(close), 1.0 / eps2);
     EXPECT_TRUE(std::isfinite(close.y));
+}
+
+/// accum[t] += sum_s br_kernel(targets[t], sources[s]), written out as the
+/// plain scalar loop the exact solver ran before br_sweep.
+void reference_sweep(const std::vector<b::Vec3>& targets, const std::vector<b::SourcePoint>& sources,
+                     double eps2, std::vector<b::Vec3>& accum) {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+        b::Vec3 sum{};
+        for (const b::SourcePoint& src : sources) {
+            sum += b::br_kernel(targets[t], src.pos, src.gamma, eps2);
+        }
+        accum[t] += sum;
+    }
+}
+
+bool same_bits(const std::vector<b::Vec3>& a, const std::vector<b::Vec3>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(b::Vec3)) == 0;
+}
+
+// br_sweep runs full blocks of targets on SIMD lanes and the rest on the
+// scalar loop; every target's sum must carry the exact bits of the scalar
+// kernel loop, for every tail length and on every backend that drives the
+// blocks.
+TEST(BRSolvers, SweepMatchesScalarKernelBitwise) {
+    constexpr double kEps2 = 2.5e-3;
+    for (bp::Backend backend : {bp::Backend::serial, bp::Backend::device}) {
+        bp::ScopedBackend scoped(backend);
+        for (std::size_t nt = 1; nt <= 9; ++nt) {
+            b::SplitMix64 rng(bt::seed() + nt);
+            auto point = [&] {
+                return b::Vec3{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+            };
+            std::vector<b::Vec3> targets(nt), accum(nt);
+            for (auto& t : targets) t = point();
+            for (auto& a : accum) a = point();
+            std::vector<b::SourcePoint> sources(37);
+            for (auto& src : sources) src = {point(), point()};
+            // A coincident pair: r = 0 exactly, so the kernel returns a
+            // signed zero that the lanes must reproduce.
+            sources[5].pos = targets[nt - 1];
+
+            std::vector<b::Vec3> expect = accum;
+            reference_sweep(targets, sources, kEps2, expect);
+
+            const b::Vec3* tp = targets.data();
+            const b::SourcePoint* sp = sources.data();
+            b::Vec3* ap = accum.data();
+            const std::size_t ns = sources.size();
+            const std::size_t nblocks = (nt + b::kBrSweepLanes - 1) / b::kBrSweepLanes;
+            bp::parallel_for(nblocks, [=](std::size_t blk) {
+                const std::size_t t = blk * b::kBrSweepLanes;
+                b::br_sweep(tp + t, std::min(b::kBrSweepLanes, nt - t), sp, ns, kEps2, ap + t);
+            });
+            EXPECT_TRUE(same_bits(accum, expect))
+                << "nt=" << nt << " backend="
+                << (backend == bp::Backend::device ? "device" : "serial");
+
+            // One call over all targets (blocks then tail, no par loop).
+            std::vector<b::Vec3> whole(nt);
+            std::vector<b::Vec3> whole_expect(nt);
+            b::br_sweep(tp, nt, sp, ns, kEps2, whole.data());
+            reference_sweep(targets, sources, kEps2, whole_expect);
+            EXPECT_TRUE(same_bits(whole, whole_expect)) << "nt=" << nt;
+        }
+    }
+}
+
+// Solver level: exact BR velocities at 9 ranks on a 16^2 mesh (owned
+// counts 36, 30 and 25, so most ranks run a scalar tail) carry the same
+// bits on the serial backend and on the device-resident path (device
+// pack and velocity kernels, pinned ring staging).
+TEST(BRSolvers, ExactVelocityBitwiseAcrossBackends) {
+    constexpr int kMesh = 16;
+    auto velocities = [](bp::Backend backend) {
+        std::vector<double> out(static_cast<std::size_t>(kMesh * kMesh * 3));
+        run(9, [&](bc::Communicator& comm) {
+            bp::ScopedBackend scoped(backend);
+            solve_velocity(comm, br_params(kMesh, b::BRSolverKind::exact, 0.5),
+                           [&](const b::SurfaceMesh& mesh, const bg::NodeField<double, 3>& vel) {
+                               const auto& local = mesh.local();
+                               for (int i = 0; i < local.owned_extent(0); ++i) {
+                                   for (int j = 0; j < local.owned_extent(1); ++j) {
+                                       const int gi = i + local.global_offset(0);
+                                       const int gj = j + local.global_offset(1);
+                                       for (int d = 0; d < 3; ++d) {
+                                           out[static_cast<std::size_t>((gi * kMesh + gj) * 3 +
+                                                                        d)] = vel(i, j, d);
+                                       }
+                                   }
+                               }
+                           },
+                           /*mirror_fields=*/true);
+        });
+        return out;
+    };
+    const auto serial = velocities(bp::Backend::serial);
+    const auto device = velocities(bp::Backend::device);
+    ASSERT_EQ(serial.size(), device.size());
+    EXPECT_EQ(std::memcmp(serial.data(), device.data(), serial.size() * sizeof(double)), 0);
+    double l2 = 0.0;
+    for (double v : serial) l2 += v * v;
+    EXPECT_GT(l2, 0.0);
 }
 
 // Regression: the very first compute_velocity on a fresh cutoff solver
