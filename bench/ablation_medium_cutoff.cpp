@@ -14,6 +14,7 @@
 
 #include "core/beatnik.hpp"
 #include "io/writers.hpp"
+#include "measure.hpp"
 
 namespace b = beatnik;
 namespace bc = beatnik::comm;
@@ -63,9 +64,7 @@ RunResult run_variant(b::Order order, b::BRSolverKind kind, double cutoff, int m
     return out;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     const bool paper_scale = argc > 1 && std::string(argv[1]) == "--scale=paper";
     const int mesh = paper_scale ? 96 : 48;
     const int steps = paper_scale ? 20 : 10;
@@ -128,4 +127,10 @@ int main(int argc, char** argv) {
                 monotone_high ? "YES" : "NO", monotone_medium ? "YES" : "NO");
     std::printf("wrote ablation_medium_cutoff.csv\n");
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_ablation_medium_cutoff", [&] { return run(argc, argv); });
 }

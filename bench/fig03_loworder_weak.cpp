@@ -13,13 +13,16 @@
 #include <cstdio>
 
 #include "io/writers.hpp"
+#include "measure.hpp"
 #include "model_helpers.hpp"
 
 namespace bm = beatnik::benchmod;
 namespace bn = beatnik::netsim;
 namespace bf = beatnik::fft;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     // Modeling cost is independent of the mesh size, so the paper's full
     // 4864^2-per-GPU mesh is the default; --scale=small shrinks it.
     const bool small_scale = argc > 1 && std::string(argv[1]) == "--scale=small";
@@ -66,4 +69,10 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote fig03_loworder_weak.csv\n");
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_fig03_loworder_weak", [&] { return run(argc, argv); });
 }

@@ -11,13 +11,16 @@
 #include <string>
 
 #include "io/writers.hpp"
+#include "measure.hpp"
 #include "model_helpers.hpp"
 
 namespace bm = beatnik::benchmod;
 namespace bn = beatnik::netsim;
 namespace bf = beatnik::fft;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     // Mesh-size note: §5.1 nominally strong-scales the memory-full base
     // problem, but §5.2 states each GPU holds only a 76x76 block "in the
     // 64-node case" — implying a much smaller global mesh than 4864^2.
@@ -70,4 +73,10 @@ int main(int argc, char** argv) {
                 turnover ? "YES" : "NO");
     std::printf("wrote fig04_loworder_strong.csv\n");
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_fig04_loworder_strong", [&] { return run(argc, argv); });
 }

@@ -22,13 +22,16 @@
 #include <string>
 
 #include "io/writers.hpp"
+#include "measure.hpp"
 #include "model_helpers.hpp"
 
 namespace b = beatnik;
 namespace bm = beatnik::benchmod;
 namespace bn = beatnik::netsim;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     // The model is O(P) arithmetic — always run the paper's problem size.
     const int per_gpu_side = 768;
     (void)argc;
@@ -95,4 +98,10 @@ int main(int argc, char** argv) {
     bm::print_overlap_delta(delta, 4, 64);
     std::printf("wrote fig05_cutoff_weak.csv\n");
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_fig05_cutoff_weak", [&] { return run(argc, argv); });
 }

@@ -19,10 +19,13 @@
 
 #include "core/beatnik.hpp"
 #include "io/writers.hpp"
+#include "measure.hpp"
 
 namespace b = beatnik;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     const bool paper_scale = argc > 1 && std::string(argv[1]) == "--scale=paper";
     const int nranks = paper_scale ? 256 : 64;
     const int mesh = paper_scale ? 192 : 96;
@@ -83,4 +86,10 @@ int main(int argc, char** argv) {
                 late_spread > 1.5 * early_spread ? "YES" : "NO");
     std::printf("wrote fig06_07_ownership.csv\n");
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_fig06_07_load_imbalance", [&] { return run(argc, argv); });
 }

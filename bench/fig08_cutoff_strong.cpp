@@ -17,6 +17,7 @@
 #include <string>
 
 #include "io/writers.hpp"
+#include "measure.hpp"
 #include "model_helpers.hpp"
 #include "par/par.hpp"
 
@@ -41,9 +42,7 @@ std::vector<double> bin_shares(const std::vector<std::array<double, 2>>& xy, int
     return counts;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     const bool paper_scale = argc > 1 && std::string(argv[1]) == "--scale=paper";
     const int mesh = paper_scale ? 192 : 96;
     const int rollup_steps = paper_scale ? 60 : 42;
@@ -139,4 +138,10 @@ int main(int argc, char** argv) {
     bm::print_overlap_delta(delta, 4, 64);
     std::printf("wrote fig08_cutoff_strong.csv\n");
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_fig08_cutoff_strong", [&] { return run(argc, argv); });
 }

@@ -12,13 +12,16 @@
 #include <vector>
 
 #include "io/writers.hpp"
+#include "measure.hpp"
 #include "model_helpers.hpp"
 
 namespace bm = beatnik::benchmod;
 namespace bn = beatnik::netsim;
 namespace bf = beatnik::fft;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     const bool small_scale = argc > 1 && std::string(argv[1]) == "--scale=small";
     const int per_gpu_side = small_scale ? 304 : 4864;
 
@@ -85,4 +88,10 @@ int main(int argc, char** argv) {
                 large_coll ? "True" : "False", large_coll ? "YES" : "NO");
     std::printf("wrote fig09_fft_configs.csv\n");
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_fig09_table1_fft_configs", [&] { return run(argc, argv); });
 }

@@ -10,7 +10,8 @@
 /// scripts/compare_benchmarks.py diffs. They live here once; the
 /// cache-defeating touch between timed iterations (so a repeated pattern
 /// measures memory traffic, not L2 residency of a hot payload) rides
-/// along.
+/// along, as does the clean-failure guard every bench driver's main runs
+/// its body under.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +23,23 @@
 #include <string>
 #include <vector>
 
+#include "base/error.hpp"
+
 namespace beatnik::bench {
+
+/// Run a bench driver's body, which returns the exit code. A
+/// beatnik::Error (bad flag value, rejected configuration, failed rank)
+/// ends the program with "<prog>: <what>" on stderr and exit code 1
+/// instead of std::terminate, like the example drivers' guarded_main.
+template <class Body>
+int guarded_main(const char* prog, Body&& body) {
+    try {
+        return body();
+    } catch (const Error& e) {
+        std::fprintf(stderr, "%s: %s\n", prog, e.what());
+        return 1;
+    }
+}
 
 /// One benchmark configuration's result in the regression-tracking schema
 /// consumed by scripts/compare_benchmarks.py.

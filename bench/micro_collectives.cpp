@@ -127,9 +127,7 @@ Result bench_alltoallv(int ranks, bc::AlltoallAlgo algo, std::size_t base_double
     return {"alltoallv", algo_name(algo), ranks, base_doubles * sizeof(double), iters, ns};
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     std::string out_path;
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
@@ -174,4 +172,10 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", out_path.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_micro_collectives", [&] { return run(argc, argv); });
 }

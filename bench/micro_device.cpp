@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "measure.hpp"
 #include "par/par.hpp"
 
 namespace bp = beatnik::par;
@@ -122,9 +123,7 @@ void write_json(const std::vector<Result>& results, const std::string& path) {
     out << "  ]\n}\n";
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     std::string out_path;
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
@@ -169,4 +168,10 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", out_path.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_micro_device", [&] { return run(argc, argv); });
 }

@@ -8,6 +8,7 @@
 
 #include "base/rng.hpp"
 #include "fft/serial_fft.hpp"
+#include "measure.hpp"
 
 namespace bf = beatnik::fft;
 
@@ -66,4 +67,12 @@ BENCHMARK(BM_SerialFFTStrided)->Args({1024, 1})->Args({1024, 64})->Args({4096, 6
 
 } // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_micro_fft", [&] {
+        benchmark::Initialize(&argc, argv);
+        if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+        return 0;
+    });
+}

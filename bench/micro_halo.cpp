@@ -216,9 +216,7 @@ Result bench_reshape(int ranks, int n, bool plan_path, int iters) {
             ns};
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     std::string out_path;
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
@@ -255,4 +253,10 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", out_path.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_micro_halo", [&] { return run(argc, argv); });
 }

@@ -1,21 +1,23 @@
 /// \file micro_kernels.cpp
 /// \brief Single-rank kernel microbenchmarks: the Birkhoff–Rott pair
-/// kernel, neighbor-search build + query (hash-map bin grid vs the dense
-/// cell list, host and device builds), particle migration, and one full
-/// cutoff-solver derivative evaluation — the measured rates behind
-/// MachineModel::pair_rate and the ablation data for the cutoff/bin-size
-/// design choices.
+/// kernel, cell-list build + query (host and device builds), the cutoff
+/// BR sweep, particle migration, and one full cutoff-solver derivative
+/// evaluation — the measured rates behind MachineModel::pair_rate and
+/// the ablation data for the cutoff/bin-size design choices.
 ///
 /// Records (compare_benchmarks.py schema; regression-tracked against
 /// bench/results/baseline_micro_kernels.json in CI):
 ///   * op "br_pairs",  algo scalar | simd — ns per kernel pair evaluation
 ///     (br_kernel one pair at a time vs br_sweep's SIMD target block);
-///   * op "nbr_build", algo bin_host | cell_host | cell_device — ns per
-///     point to build the search structure (BinGrid3D hash-map binning
-///     vs CellList3D count–scan–fill, serial and device kernels);
-///   * op "nbr_query", algo bin_host | cell_host | cell_device — ns per
-///     point to enumerate all self-query neighbors (the device column is
-///     the fused visit_neighbors kernel the cutoff solver runs);
+///   * op "nbr_build", algo cell_host | cell_device — ns per point to
+///     build the CellList3D (serial loops vs count–scan–fill kernels);
+///   * op "nbr_query", algo cell_host | cell_device — ns per point to
+///     enumerate all self-query neighbors (host query() into a
+///     NeighborList vs a fused visit_neighbors kernel);
+///   * op "cutoff_sweep", algo stencil | rows_simd — ns per target to sum
+///     the BR kernel over its cutoff neighbors (the cutoff solver's step
+///     4): the 27-cell loop with one scalar br_kernel per hit, against
+///     br_cutoff_sweep's row scans, filter and 4-hit kernel lanes;
 ///   * op "migrate",   algo host — ns per particle exchanged (8 ranks,
 ///     50% off-rank);
 ///   * op "cutoff_eval", algo host — ns per solver step (4 ranks,
@@ -26,15 +28,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "base/rng.hpp"
 #include "core/beatnik.hpp"
+#include "measure.hpp"
 #include "search/cell_list.hpp"
 
 namespace b = beatnik;
+namespace bb = beatnik::bench;
 namespace bc = beatnik::comm;
 namespace bg = beatnik::grid;
 namespace bs = beatnik::search;
@@ -42,14 +45,7 @@ namespace bd = beatnik::par::device;
 
 namespace {
 
-struct Result {
-    std::string op;
-    std::string algo;
-    int ranks = 1;
-    std::size_t bytes = 0;
-    int iters = 0;
-    double ns_per_op = 0.0;
-};
+using bb::Result;
 
 template <class Op>
 double time_ns(int iters, Op&& op) {
@@ -108,24 +104,18 @@ std::vector<Result> bench_br_pairs(std::size_t n, int iters) {
              simd_ns / static_cast<double>(n * b::kBrSweepLanes)}};
 }
 
-/// Build ns/point for one of the three search structures.
+/// Cell-list build ns/point, host loops or device kernels.
 Result bench_nbr_build(const std::string& algo, std::size_t n, double radius, int iters) {
     auto pts = random_cloud(n, 11, 1.5);
     double ns = 0.0;
-    if (algo == "bin_host") {
-        ns = time_ns(iters, [&] {
-            bs::BinGrid3D grid(pts, radius);
-            volatile std::size_t sink = grid.size();
-            (void)sink;
-        });
-    } else if (algo == "cell_host") {
+    if (algo == "cell_host") {
         bs::CellList3D cells;
-        ns = time_ns(iters, [&] { cells.build_host(pts, radius); });
+        ns = time_ns(iters, [&] { cells.build_host(pts.data(), n, 3, radius); });
     } else { // cell_device
         bd::ScopedHostRegistration pin{std::span<const double>(pts.data(), pts.size())};
         bd::Queue q;
         bs::CellList3D cells;
-        ns = time_ns(iters, [&] { cells.build_device(q, pts.data(), pts.size(), radius); });
+        ns = time_ns(iters, [&] { cells.build_device(q, pts.data(), n, 3, radius); });
     }
     return {"nbr_build", algo, 1, pts.size() * sizeof(double), iters,
             ns / static_cast<double>(n)};
@@ -137,18 +127,11 @@ Result bench_nbr_build(const std::string& algo, std::size_t n, double radius, in
 Result bench_nbr_query(const std::string& algo, std::size_t n, double radius, int iters) {
     auto pts = random_cloud(n, 11, 1.5);
     double ns = 0.0;
-    if (algo == "bin_host") {
-        bs::BinGrid3D grid(pts, radius);
-        ns = time_ns(iters, [&] {
-            auto list = grid.query(pts, 0);
-            volatile std::size_t sink = list.indices.size();
-            (void)sink;
-        });
-    } else if (algo == "cell_host") {
+    if (algo == "cell_host") {
         bs::CellList3D cells;
-        cells.build_host(pts, radius);
+        cells.build_host(pts.data(), n, 3, radius);
         ns = time_ns(iters, [&] {
-            auto list = cells.query(pts, pts, 0);
+            auto list = cells.query(pts, 0);
             volatile std::size_t sink = list.indices.size();
             (void)sink;
         });
@@ -156,28 +139,98 @@ Result bench_nbr_query(const std::string& algo, std::size_t n, double radius, in
         bd::ScopedHostRegistration pin{std::span<const double>(pts.data(), pts.size())};
         bd::Queue q;
         bs::CellList3D cells;
-        cells.build_device(q, pts.data(), pts.size(), radius);
+        cells.build_device(q, pts.data(), n, 3, radius);
         std::vector<double> out(n);
         bd::ScopedHostRegistration out_pin{std::span<const double>(out.data(), out.size())};
-        const bs::CellGrid g = cells.grid();
-        const std::uint32_t* offs = cells.cell_offsets();
-        const std::uint32_t* cpts = cells.cell_points();
+        const bs::CellView v = cells.view();
         const double* crd = pts.data();
         double* op = out.data();
         const double r2 = radius * radius;
         ns = time_ns(iters, [&] {
             q.parallel_for(n, [=](std::size_t qi) {
                 double acc = 0.0;
-                bs::visit_neighbors(g, offs, cpts, crd, crd + 3 * qi, r2,
-                                    [&](std::uint32_t s) {
-                                        if (s != qi) acc += crd[3 * s];
-                                    });
+                const double* qp = crd + 3 * qi;
+                bs::visit_neighbors(v, qp[0], qp[1], qp[2], r2, [&](std::uint32_t s) {
+                    if (s != qi) acc += crd[3 * s];
+                });
                 op[qi] = acc;
             });
             q.fence();
         });
     }
     return {"nbr_query", algo, 1, pts.size() * sizeof(double), iters,
+            ns / static_cast<double>(n)};
+}
+
+/// Cutoff BR sum ns/target over every point of the nbr_* cloud (serial,
+/// one target after another). "stencil" is the cutoff solver's loop
+/// before the row scans: 27 cells in dz/dy/dx order, the distance test on
+/// index-order coordinates, one br_kernel per hit. "rows_simd" is
+/// br_cutoff_sweep; both produce the same bits.
+Result bench_cutoff_sweep(const std::string& algo, std::size_t n, double radius, int iters) {
+    auto pts = random_cloud(n, 11, 1.5);
+    beatnik::SplitMix64 rng(5);
+    std::vector<b::SourcePoint> src(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        src[k].pos = {pts[3 * k], pts[3 * k + 1], pts[3 * k + 2]};
+        src[k].gamma = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    }
+    bs::CellList3D cells;
+    cells.build_host(pts.data(), n, 3, radius);
+    const bs::CellGrid& g = cells.grid();
+    const double r2 = radius * radius;
+    constexpr double kEps2 = 1e-4;
+    volatile double sink = 0.0;
+    double ns = 0.0;
+    if (algo == "stencil") {
+        ns = time_ns(iters, [&] {
+            for (std::size_t q = 0; q < n; ++q) {
+                const double* qp = pts.data() + 3 * q;
+                const int qc[3] = {bs::CellGrid::coord(qp[0], g.cell),
+                                   bs::CellGrid::coord(qp[1], g.cell),
+                                   bs::CellGrid::coord(qp[2], g.cell)};
+                b::Vec3 sum{};
+                for (int dz = -1; dz <= 1; ++dz) {
+                    for (int dy = -1; dy <= 1; ++dy) {
+                        for (int dx = -1; dx <= 1; ++dx) {
+                            const int c[3] = {qc[0] + dx, qc[1] + dy, qc[2] + dz};
+                            bool inside = true;
+                            for (std::size_t d = 0; d < 3; ++d) {
+                                inside = inside && c[d] >= g.lo[d] && c[d] < g.lo[d] + g.n[d];
+                            }
+                            if (!inside) continue;
+                            const std::size_t cell = g.index(c[0], c[1], c[2]);
+                            for (std::uint32_t m = cells.cell_offsets()[cell];
+                                 m < cells.cell_offsets()[cell + 1]; ++m) {
+                                const std::uint32_t s = cells.cell_points()[m];
+                                const double* sp = pts.data() + 3 * s;
+                                const double ddx = qp[0] - sp[0];
+                                const double ddy = qp[1] - sp[1];
+                                const double ddz = qp[2] - sp[2];
+                                if (ddx * ddx + ddy * ddy + ddz * ddz < r2 && s != q) {
+                                    sum += b::br_kernel(src[q].pos, src[s].pos, src[s].gamma,
+                                                        kEps2);
+                                }
+                            }
+                        }
+                    }
+                }
+                sink = sum.x;
+            }
+        });
+    } else { // rows_simd
+        const bs::CellView v = cells.view();
+        ns = time_ns(iters, [&] {
+            for (std::size_t q = 0; q < n; ++q) {
+                b::Vec3 sum{};
+                (void)b::br_cutoff_sweep(v, src.data(), src[q].pos,
+                                         static_cast<std::uint32_t>(q), r2, kEps2, sum);
+                sink = sum.x;
+            }
+        });
+    }
+    (void)sink;
+    return {"cutoff_sweep", algo, 1, n * sizeof(b::SourcePoint), iters,
             ns / static_cast<double>(n)};
 }
 
@@ -228,26 +281,7 @@ Result bench_cutoff_eval(int p, int mesh, int iters) {
             iters, ns};
 }
 
-void write_json(const std::vector<Result>& results, const std::string& path) {
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-        std::exit(1);
-    }
-    out << "{\n  \"bench\": \"micro_kernels\",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const Result& r = results[i];
-        out << "    {\"op\": \"" << r.op << "\", \"algo\": \"" << r.algo
-            << "\", \"ranks\": " << r.ranks << ", \"bytes\": " << r.bytes
-            << ", \"iters\": " << r.iters << ", \"ns_per_op\": " << r.ns_per_op << "}"
-            << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-}
-
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     std::string out_path;
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
@@ -267,9 +301,12 @@ int main(int argc, char** argv) {
     // 20k points at cutoff-solver-like density (~8 neighbors/point).
     constexpr std::size_t kPoints = 20000;
     constexpr double kRadius = 0.2;
-    for (const char* algo : {"bin_host", "cell_host", "cell_device"}) {
+    for (const char* algo : {"cell_host", "cell_device"}) {
         results.push_back(bench_nbr_build(algo, kPoints, kRadius, n(100)));
         results.push_back(bench_nbr_query(algo, kPoints, kRadius, n(50)));
+    }
+    for (const char* algo : {"stencil", "rows_simd"}) {
+        results.push_back(bench_cutoff_sweep(algo, kPoints, kRadius, n(20)));
     }
     results.push_back(bench_migrate(8, 50, n(50)));
     results.push_back(bench_cutoff_eval(4, 32, n(20)));
@@ -281,8 +318,14 @@ int main(int argc, char** argv) {
                     r.ranks, r.bytes, r.iters, r.ns_per_op);
     }
     if (!out_path.empty()) {
-        write_json(results, out_path);
+        bb::write_json("micro_kernels", results, out_path);
         std::printf("wrote %s\n", out_path.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_micro_kernels", [&] { return run(argc, argv); });
 }

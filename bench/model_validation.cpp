@@ -284,9 +284,7 @@ int run_loopback_gate() {
     return (ok && wait_ok) ? 0 : 1;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     std::string profile_path;
     bool loopback_gate = false;
     for (int i = 1; i < argc; ++i) {
@@ -420,4 +418,10 @@ int main(int argc, char** argv) {
                 scored_agree ? "YES" : "NO");
     if (!scored_agree || !crossover_ok) return 1;
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_model_validation", [&] { return run(argc, argv); });
 }

@@ -386,9 +386,7 @@ void write_results_json(const std::vector<PatternResult>& results, const std::st
     std::fclose(f);
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     std::string schedule = "all";
     std::string transport;
     std::string out_path;
@@ -495,4 +493,10 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", out_path.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return beatnik::bench::guarded_main("bench_patterns", [&] { return run(argc, argv); });
 }

@@ -50,6 +50,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <numbers>
 #include <optional>
@@ -281,60 +282,38 @@ public:
                                    });
             }
         }
+        // The ghosts land behind the owned points in the one source store.
         const std::size_t n_ghosts = ghost_plan_->execute_into(
             ghost_sends_.span(n_ghost_sends), ghost_dests_.span(n_ghost_sends),
-            [this, device](std::size_t total) {
+            [this, device, n_owned](std::size_t total) {
                 if (device) {
-                    ghosts_.ensure_pinned(total);
+                    owned_.ensure_pinned(n_owned + total);
                 } else {
-                    ghosts_.ensure(total);
+                    owned_.ensure(n_owned + total);
                 }
-                return ghosts_.data();
+                return owned_.data() + n_owned;
             });
         last_spatial_ghosts_ = n_ghosts;
 
-        // ---- step 3: cell list over owned + ghost sources. Owned points
-        // occupy the leading slots of the source array, so query q's self
-        // pair is exactly source q.
+        // ---- step 3: cell list over owned + ghost sources, binned in
+        // place from the source store's positions. Owned points occupy
+        // the leading slots, so query q's self pair is exactly source q.
         stage.emplace("cutoff.cells", n_owned, n_ghosts);
         const std::size_t n_src = n_owned + n_ghosts;
         const double r2 = cutoff_ * cutoff_;
+        const double* src_pos = owned_.empty() ? nullptr : &owned_.data()->pos.x;
         if (device) {
             par::device::Queue& sq = overlap() ? *spatial_q_ : pm.device_queue();
-            coords_.ensure_pinned(3 * n_src);
-            {
-                const SpatialParticle* own = owned_.data();
-                const SpatialParticle* gho = ghosts_.data();
-                double* crd = coords_.data();
-                namespace dc = par::device::devcheck;
-                dc::declare(sq, "cutoff coords gather",
-                            {dc::read(own, n_owned * sizeof(SpatialParticle)),
-                             dc::read(gho, n_ghosts * sizeof(SpatialParticle)),
-                             dc::write(crd, 3 * n_src * sizeof(double))});
-                sq.parallel_for(n_src, [own, gho, crd, n_owned](std::size_t s) {
-                    const Vec3& p = s < n_owned ? own[s].pos : gho[s - n_owned].pos;
-                    crd[3 * s + 0] = p.x;
-                    crd[3 * s + 1] = p.y;
-                    crd[3 * s + 2] = p.z;
-                });
-            }
-            cells_.build_device(sq, coords_.data(), 3 * n_src, cutoff_);
+            cells_.build_device(sq, src_pos, n_src, kParticleStride, cutoff_);
         } else {
-            coords_.ensure(3 * n_src);
-            for (std::size_t s = 0; s < n_src; ++s) {
-                const Vec3& p = s < n_owned ? owned_[s].pos : ghosts_[s - n_owned].pos;
-                coords_[3 * s + 0] = p.x;
-                coords_[3 * s + 1] = p.y;
-                coords_[3 * s + 2] = p.z;
-            }
-            cells_.build_host(coords_.span(3 * n_src), cutoff_);
+            cells_.build_host(src_pos, n_src, kParticleStride, cutoff_);
         }
 
         // ---- step 4: kernel accumulation, fused with the neighbor
-        // query: every owned point sweeps its 27-cell stencil in the
-        // fixed cell-list order and sums br_kernel over the hits. Both
-        // paths run the identical per-query loop, so host and device
-        // sums see the same operand order.
+        // query: every owned point runs br_cutoff_sweep, the cell list's
+        // 9 row scans in the fixed enumeration order. Both paths run the
+        // identical per-query sweep, so host and device sums see the same
+        // operand order.
         stage.emplace("cutoff.accumulate", n_owned);
         const double prefactor = mesh_->cell_area() / (4.0 * std::numbers::pi);
         if (device) {
@@ -347,26 +326,16 @@ public:
             home_.ensure(n_owned);
         }
         {
-            const search::CellGrid g = cells_.grid();
-            const std::uint32_t* cell_offsets = cells_.cell_offsets();
-            const std::uint32_t* cell_points = cells_.cell_points();
-            const double* crd = coords_.data();
+            const search::CellView cv = cells_.view();
             const SpatialParticle* own = owned_.data();
-            const SpatialParticle* gho = ghosts_.data();
             VelocityResult* res = results_.data();
             std::uint32_t* pairs = pair_counts_.data();
             int* home = home_.data();
             const double eps2 = eps2_;
             auto accumulate = [=](std::size_t q) {
                 Vec3 sum{};
-                std::uint32_t cnt = 0;
-                search::visit_neighbors(
-                    g, cell_offsets, cell_points, crd, crd + 3 * q, r2, [&](std::uint32_t s) {
-                        if (s == q) return; // self pair
-                        const SpatialParticle& src = s < n_owned ? own[s] : gho[s - n_owned];
-                        sum += br_kernel(own[q].pos, src.pos, src.gamma, eps2);
-                        ++cnt;
-                    });
+                const std::uint32_t cnt = br_cutoff_sweep(
+                    cv, own, own[q].pos, static_cast<std::uint32_t>(q), r2, eps2, sum);
                 res[q] = {sum * prefactor, own[q].home_rank, own[q].home_index};
                 pairs[q] = cnt;
                 home[q] = own[q].home_rank;
@@ -375,11 +344,11 @@ public:
                 par::device::Queue& sq = overlap() ? *spatial_q_ : pm.device_queue();
                 namespace dc = par::device::devcheck;
                 dc::declare(sq, "cutoff BR accumulate",
-                            {dc::read(crd, 3 * n_src * sizeof(double)),
-                             dc::read(own, n_owned * sizeof(SpatialParticle)),
-                             dc::read(gho, n_ghosts * sizeof(SpatialParticle)),
-                             dc::read(cell_offsets, (g.num_cells() + 1) * sizeof(std::uint32_t)),
-                             dc::read(cell_points, n_src * sizeof(std::uint32_t)),
+                            {dc::read(cv.xs, 3 * n_src * sizeof(double)),
+                             dc::read(own, n_src * sizeof(SpatialParticle)),
+                             dc::read(cv.offsets,
+                                      (cv.grid.num_cells() + 1) * sizeof(std::uint32_t)),
+                             dc::read(cv.points, n_src * sizeof(std::uint32_t)),
                              dc::write(res, n_owned * sizeof(VelocityResult)),
                              dc::write(pairs, n_owned * sizeof(std::uint32_t)),
                              dc::write(home, n_owned * sizeof(int))});
@@ -459,6 +428,10 @@ private:
         int home_rank = 0;
         int home_index = 0;
     };
+    /// SpatialParticle as a double stride, for binning positions in place.
+    static constexpr std::size_t kParticleStride = sizeof(SpatialParticle) / sizeof(double);
+    static_assert(sizeof(SpatialParticle) % sizeof(double) == 0 &&
+                  offsetof(SpatialParticle, pos) == 0);
     static double square(double v) { return v * v; }
 
     static bool& overlap_flag() {
@@ -520,12 +493,10 @@ private:
     // allocates nothing.
     par::device::PinnedStore<SpatialParticle> particles_;  ///< step-1 pack
     par::device::PinnedStore<int> dest_;
-    par::device::PinnedStore<SpatialParticle> owned_;      ///< step-1 result
+    par::device::PinnedStore<SpatialParticle> owned_;      ///< step-1/2 results: owned, ghosts
     par::device::PinnedStore<std::uint32_t> ghost_counts_; ///< step-2 CSR
     par::device::PinnedStore<SpatialParticle> ghost_sends_;
     par::device::PinnedStore<int> ghost_dests_;
-    par::device::PinnedStore<SpatialParticle> ghosts_;     ///< step-2 result
-    par::device::PinnedStore<double> coords_;              ///< step-3 input
     search::CellList3D cells_;
     par::device::PinnedStore<VelocityResult> results_;     ///< step-4 output
     par::device::PinnedStore<std::uint32_t> pair_counts_;

@@ -1,9 +1,9 @@
 /// \file cell_list.hpp
 /// \brief Device-friendly fixed-radius cell list: count–scan–fill over a
-/// dense cell grid.
+/// dense cell grid, with cell-ordered positions for contiguous row scans.
 ///
-/// The device-resident replacement for BinGrid3D's hash-map binning
-/// (paper §3.2 step 3). The structure is the classic GPU cell list:
+/// The fixed-radius neighbor search of paper §3.2 step 3 (the ArborX
+/// stand-in). The structure is the classic GPU cell list:
 ///
 ///   1. bounds   — per-chunk min/max of the points' cell coordinates,
 ///                 folded on the host (min/max are associative, so the
@@ -16,20 +16,30 @@
 ///                 cells (order within a cell is racy here);
 ///   5. sort     — per-cell ascending sort of the point indices, which
 ///                 erases the fill races and makes the structure exactly
-///                 what the serial fill-in-index-order build produces.
+///                 what the serial fill-in-index-order build produces;
+///   6. gather   — copy each slot's position into cell-ordered x, y and z
+///                 arrays (one body, run as a host loop or a kernel).
 ///
 /// Cells are cubes of edge == search radius, addressed by
-/// floor(coordinate / radius) exactly like BinGrid3D, and queries sweep
-/// the same 27-cell stencil in the same dz/dy/dx order with ascending
-/// point order inside each cell — so neighbor *enumeration order* (and
-/// therefore any floating-point accumulation over it) is bitwise
-/// identical to BinGrid3D's, host build and device build alike.
+/// floor(coordinate / radius), stored x-fastest. The points are read in
+/// place with a stride (in doubles), so a caller bins the positions of an
+/// array of structs without copying them out first.
+///
+/// Queries scan *rows*: for each (dz, dy) of the 27-cell stencil, the
+/// three dx cells (clipped to the grid) are one contiguous slot range of
+/// the CSR payload, so a query is 9 contiguous scans over the
+/// cell-ordered positions instead of 27 indirect ones. Enumeration order
+/// is dz, then dy, then dx, with ascending point index within each cell —
+/// the same for every caller (visit_neighbors, query, the cutoff BR
+/// sweep), host build and device build alike, so any floating-point
+/// accumulation over it is bitwise reproducible.
 ///
 /// All storage is grow-only (PinnedStore): a steady-state rebuild over a
 /// same-or-smaller point cloud allocates nothing, and the device build's
 /// kernels write straight into the registered staging.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -49,8 +59,7 @@ struct CellGrid {
     std::array<int, 3> lo{};       ///< minimum cell coordinate per axis
     std::array<int, 3> n{1, 1, 1}; ///< cells per axis (>= 1)
 
-    /// Cell coordinate of a position along one axis — floor, matching
-    /// BinGrid3D::cell_of so both structures bin identically.
+    /// Cell coordinate of a position along one axis (floor).
     [[nodiscard]] static int coord(double v, double cell) {
         return static_cast<int>(std::floor(v / cell));
     }
@@ -67,57 +76,66 @@ struct CellGrid {
         const auto iz = static_cast<std::size_t>(cz - lo[2]);
         return (iz * static_cast<std::size_t>(n[1]) + iy) * static_cast<std::size_t>(n[0]) + ix;
     }
-
-    [[nodiscard]] bool contains(int cx, int cy, int cz) const {
-        return cx >= lo[0] && cx < lo[0] + n[0] && cy >= lo[1] && cy < lo[1] + n[1] &&
-               cz >= lo[2] && cz < lo[2] + n[2];
-    }
 };
 
-/// Enumerate the sources within \p radius (strict, squared compare) of
-/// query position \p qp, in exactly BinGrid3D's order: stencil cells in
-/// dz/dy/dx order, ascending point index within each cell. Calls
-/// f(source_index) for every hit, *including* an identical-position /
-/// self source — exclusion is the caller's policy. Usable from host code
-/// and device kernels alike (pure pointer math over the CSR arrays).
-template <class F>
-inline void visit_neighbors(const CellGrid& g, const std::uint32_t* cell_offsets,
-                            const std::uint32_t* cell_points, const double* points,
-                            const double* qp, double r2, F&& f) {
-    const int qx = CellGrid::coord(qp[0], g.cell);
-    const int qy = CellGrid::coord(qp[1], g.cell);
-    const int qz = CellGrid::coord(qp[2], g.cell);
-    for (int dz = -1; dz <= 1; ++dz) {
-        for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-                const int cx = qx + dx, cy = qy + dy, cz = qz + dz;
-                if (!g.contains(cx, cy, cz)) continue;
-                const std::size_t c = g.index(cx, cy, cz);
-                for (std::uint32_t m = cell_offsets[c]; m < cell_offsets[c + 1]; ++m) {
-                    const std::uint32_t s = cell_points[m];
-                    const double* sp = points + 3 * static_cast<std::size_t>(s);
-                    const double ddx = qp[0] - sp[0];
-                    const double ddy = qp[1] - sp[1];
-                    const double ddz = qp[2] - sp[2];
-                    if (ddx * ddx + ddy * ddy + ddz * ddz < r2) f(s);
-                }
-            }
+/// Everything a query reads, as raw pointers into a built CellList3D
+/// (POD, captured by value into device kernels). Slot m of the CSR
+/// payload holds source points[m] at position (xs[m], ys[m], zs[m]).
+struct CellView {
+    CellGrid grid;
+    const std::uint32_t* offsets = nullptr; ///< num_cells + 1 slot offsets
+    const std::uint32_t* points = nullptr;  ///< source index per slot
+    const double* xs = nullptr;             ///< cell-ordered positions
+    const double* ys = nullptr;
+    const double* zs = nullptr;
+};
+
+/// Call row(begin, end) for each contiguous slot range of the 27-cell
+/// stencil around (x, y, z): one range per (dz, dy) whose cell row lies in
+/// the grid, covering the dx = -1..1 cells clipped to it, in dz/dy order.
+template <class Row>
+inline void for_each_stencil_row(const CellView& v, double x, double y, double z, Row&& row) {
+    const CellGrid& g = v.grid;
+    const int qx = CellGrid::coord(x, g.cell);
+    const int qy = CellGrid::coord(y, g.cell);
+    const int qz = CellGrid::coord(z, g.cell);
+    const int x0 = std::max(qx - 1, g.lo[0]);
+    const int x1 = std::min(qx + 1, g.lo[0] + g.n[0] - 1);
+    if (x0 > x1) return;
+    for (int cz = qz - 1; cz <= qz + 1; ++cz) {
+        if (cz < g.lo[2] || cz >= g.lo[2] + g.n[2]) continue;
+        for (int cy = qy - 1; cy <= qy + 1; ++cy) {
+            if (cy < g.lo[1] || cy >= g.lo[1] + g.n[1]) continue;
+            row(v.offsets[g.index(x0, cy, cz)], v.offsets[g.index(x1, cy, cz) + 1]);
         }
     }
+}
+
+/// Enumerate the sources strictly within the search radius
+/// ((dx*dx + dy*dy) + dz*dz < r2) of query position (x, y, z), in the
+/// file header's row order. Calls f(source_index) for every hit,
+/// *including* an identical-position / self source — exclusion is the
+/// caller's policy. Usable from host code and device kernels alike.
+template <class F>
+inline void visit_neighbors(const CellView& v, double x, double y, double z, double r2, F&& f) {
+    for_each_stencil_row(v, x, y, z, [&](std::uint32_t b, std::uint32_t e) {
+        for (std::uint32_t m = b; m < e; ++m) {
+            const double dx = x - v.xs[m];
+            const double dy = y - v.ys[m];
+            const double dz = z - v.zs[m];
+            if (dx * dx + dy * dy + dz * dz < r2) f(v.points[m]);
+        }
+    });
 }
 
 /// Dense cell list over a 3D point set, rebuilt per particle snapshot.
 ///
 /// Build on the host (serial, index-order fill) or on the device
-/// (count–scan–fill kernels); the resulting CSR arrays are bitwise
-/// identical either way. Query via the host query() (a NeighborList,
-/// BinGrid3D-compatible) or by fusing visit_neighbors() into a kernel
-/// over the exported raw arrays.
+/// (count–scan–fill kernels); the resulting arrays are bitwise identical
+/// either way. Query via the host query() (a NeighborList) or by fusing
+/// visit_neighbors() / for_each_stencil_row() over view() into a kernel.
 class CellList3D {
 public:
-    /// No self-exclusion sentinel for query() — see BinGrid3D::kNoSelf.
-    static constexpr std::size_t kNoSelf = static_cast<std::size_t>(-1);
-
     /// Guard against pathological sparse clouds: a dense grid over a
     /// bounding box much larger than the radius would explode. The
     /// cutoff solver's box/cutoff ratios live far below this.
@@ -132,20 +150,27 @@ public:
     [[nodiscard]] const std::uint32_t* cell_offsets() const { return offsets_.data(); }
     /// Point indices grouped by cell, ascending within each cell.
     [[nodiscard]] const std::uint32_t* cell_points() const { return points_by_cell_.data(); }
+    /// Raw arrays of the last build, for queries and kernels.
+    [[nodiscard]] CellView view() const {
+        const double* xs = sorted_.data();
+        return {grid_, offsets_.data(), points_by_cell_.data(), xs, xs + n_, xs + 2 * n_};
+    }
 
-    /// Serial build: assign cells, count, scan, then fill in ascending
-    /// point order (so per-cell lists are sorted by construction).
-    void build_host(std::span<const double> points, double radius) {
-        begin_build(points.data(), points.size(), radius);
+    /// Serial build over \p n points, point k at points[k * stride + 0..2]:
+    /// assign cells, count, scan, fill in ascending point order (so
+    /// per-cell lists are sorted by construction), gather positions.
+    void build_host(const double* points, std::size_t n, std::size_t stride, double radius) {
+        begin_build(points, n, stride, radius);
         if (n_ == 0) return;
-        const double* pts = points.data();
+        const double* pts = points;
         int mn[3], mx[3];
         for (int d = 0; d < 3; ++d) {
             mn[d] = mx[d] = CellGrid::coord(pts[d], radius);
         }
         for (std::size_t k = 1; k < n_; ++k) {
             for (int d = 0; d < 3; ++d) {
-                const int c = CellGrid::coord(pts[3 * k + static_cast<std::size_t>(d)], radius);
+                const int c =
+                    CellGrid::coord(pts[stride * k + static_cast<std::size_t>(d)], radius);
                 mn[d] = c < mn[d] ? c : mn[d];
                 mx[d] = c > mx[d] ? c : mx[d];
             }
@@ -155,7 +180,10 @@ public:
         std::uint32_t* cell_of = cell_of_.data();
         for (std::size_t c = 0; c <= ncells; ++c) counts[c] = 0;
         for (std::size_t k = 0; k < n_; ++k) {
-            const std::size_t c = cell_of_point(pts + 3 * k);
+            const double* p = pts + stride * k;
+            const std::size_t c =
+                grid_.index(CellGrid::coord(p[0], grid_.cell), CellGrid::coord(p[1], grid_.cell),
+                            CellGrid::coord(p[2], grid_.cell));
             cell_of[k] = static_cast<std::uint32_t>(c);
             ++counts[c];
         }
@@ -171,42 +199,44 @@ public:
         for (std::size_t k = 0; k < n_; ++k) {
             points_by_cell_[cursors[cell_of[k]]++] = static_cast<std::uint32_t>(k);
         }
+        const auto gather = gather_positions(pts, stride);
+        for (std::size_t m = 0; m < n_; ++m) gather(m);
     }
 
     /// Device build over device-accessible \p points (registered host
-    /// range or device heap): the count–scan–fill kernels of the file
-    /// header, enqueued on \p q and fenced (the scan already requires
-    /// host participation, and callers consume the totals immediately).
-    /// Steady-state rebuilds are allocation-free once staging has grown
-    /// to its high-water mark.
-    void build_device(par::device::Queue& q, const double* points, std::size_t coords,
-                      double radius) {
-        begin_build(points, coords, radius);
+    /// range or device heap), same layout as build_host: the
+    /// count–scan–fill–gather kernels of the file header, enqueued on
+    /// \p q and fenced (the scan already requires host participation, and
+    /// callers consume the totals immediately). Steady-state rebuilds are
+    /// allocation-free once staging has grown to its high-water mark.
+    void build_device(par::device::Queue& q, const double* points, std::size_t n,
+                      std::size_t stride, double radius) {
+        begin_build(points, n, stride, radius);
         if (n_ == 0) return;
         const double cell = radius;
         const std::size_t nchunks = (n_ + kBoundsChunk - 1) / kBoundsChunk;
+        const std::size_t point_bytes = ((n_ - 1) * stride + 3) * sizeof(double);
         bounds_.ensure_pinned(nchunks);
         // 1. bounds: per-chunk min/max cell coordinates, host fold.
         namespace dc = par::device::devcheck;
         {
             Bounds* parts = bounds_.data();
             const double* pts = points;
-            const std::size_t n = n_;
             dc::declare(q, "cell-list bounds",
-                        {dc::read(pts, 3 * n * sizeof(double)),
+                        {dc::read(pts, point_bytes),
                          dc::write(parts, nchunks * sizeof(Bounds))});
-            q.parallel_for(nchunks, [parts, pts, n, cell](std::size_t c) {
+            q.parallel_for(nchunks, [parts, pts, n = n_, stride, cell](std::size_t c) {
                 const std::size_t b = c * kBoundsChunk;
                 const std::size_t e = b + kBoundsChunk < n ? b + kBoundsChunk : n;
                 Bounds bd;
                 for (int d = 0; d < 3; ++d) {
                     bd.mn[d] = bd.mx[d] =
-                        CellGrid::coord(pts[3 * b + static_cast<std::size_t>(d)], cell);
+                        CellGrid::coord(pts[stride * b + static_cast<std::size_t>(d)], cell);
                 }
                 for (std::size_t k = b + 1; k < e; ++k) {
                     for (int d = 0; d < 3; ++d) {
                         const int v =
-                            CellGrid::coord(pts[3 * k + static_cast<std::size_t>(d)], cell);
+                            CellGrid::coord(pts[stride * k + static_cast<std::size_t>(d)], cell);
                         bd.mn[d] = v < bd.mn[d] ? v : bd.mn[d];
                         bd.mx[d] = v > bd.mx[d] ? v : bd.mx[d];
                     }
@@ -239,11 +269,11 @@ public:
                     {dc::write(counts, (ncells + 1) * sizeof(std::uint32_t))});
         q.parallel_for(ncells + 1, [counts](std::size_t c) { counts[c] = 0; });
         dc::declare(q, "cell-list count",
-                    {dc::read(pts, 3 * n_ * sizeof(double)),
+                    {dc::read(pts, point_bytes),
                      dc::write(cell_of, n_ * sizeof(std::uint32_t)),
                      dc::write(counts, ncells * sizeof(std::uint32_t))});
-        q.parallel_for(n_, [counts, cell_of, pts, g](std::size_t k) {
-            const double* p = pts + 3 * k;
+        q.parallel_for(n_, [counts, cell_of, pts, stride, g](std::size_t k) {
+            const double* p = pts + stride * k;
             const std::size_t c = g.index(CellGrid::coord(p[0], g.cell),
                                           CellGrid::coord(p[1], g.cell),
                                           CellGrid::coord(p[2], g.cell));
@@ -286,37 +316,41 @@ public:
                 by_cell[j] = v;
             }
         });
+        // 6. gather the cell-ordered positions.
+        dc::declare(q, "cell-list gather positions",
+                    {dc::read(pts, point_bytes),
+                     dc::read(by_cell, n_ * sizeof(std::uint32_t)),
+                     dc::write(sorted_.data(), 3 * n_ * sizeof(double))});
+        q.parallel_for(n_, gather_positions(pts, stride));
         q.fence(); // devcheck: fenced — callers consume the CSR on the host
     }
 
-    /// Neighbor lists for every query point, BinGrid3D-compatible (host
-    /// compute; the device path fuses visit_neighbors into its kernels
-    /// instead of materializing a list). \p self_offset maps query q to
-    /// source q + self_offset for self-pair exclusion; kNoSelf disables
-    /// exclusion. \p points must be the build's point array.
-    [[nodiscard]] NeighborList query(std::span<const double> points,
-                                     std::span<const double> queries,
+    /// Neighbor lists for every query point (N x 3 row-major), in the row
+    /// enumeration order (host compute; the device path fuses
+    /// visit_neighbors into its kernels instead of materializing a list).
+    /// \p self_offset maps query q to source q + self_offset for
+    /// self-pair exclusion; kNoSelf disables exclusion.
+    [[nodiscard]] NeighborList query(std::span<const double> queries,
                                      std::size_t self_offset) const {
         BEATNIK_REQUIRE(queries.size() % 3 == 0, "queries must be N x 3 coordinates");
         const std::size_t nq = queries.size() / 3;
         BEATNIK_REQUIRE(self_offset == kNoSelf || self_offset + nq <= n_,
                         "self_offset must map every query onto a source index");
         const double r2 = radius_ * radius_;
+        const CellView v = view();
         NeighborList list;
         list.offsets.resize(nq + 1, 0);
         for (int pass = 0; pass < 2; ++pass) {
             for (std::size_t q = 0; q < nq; ++q) {
                 const std::size_t self =
                     self_offset == kNoSelf ? kNoSelf : q + self_offset;
+                const double* qp = queries.data() + 3 * q;
                 std::uint32_t written = 0;
-                visit_neighbors(grid_, offsets_.data(), points_by_cell_.data(), points.data(),
-                                queries.data() + 3 * q, r2, [&](std::uint32_t s) {
-                                    if (s == self) return;
-                                    if (pass == 1) {
-                                        list.indices[list.offsets[q] + written] = s;
-                                    }
-                                    ++written;
-                                });
+                visit_neighbors(v, qp[0], qp[1], qp[2], r2, [&](std::uint32_t s) {
+                    if (s == self) return;
+                    if (pass == 1) list.indices[list.offsets[q] + written] = s;
+                    ++written;
+                });
                 if (pass == 0) list.offsets[q + 1] = written;
             }
             if (pass == 0) {
@@ -334,14 +368,12 @@ private:
     };
     static constexpr std::size_t kBoundsChunk = par::device::kScanChunk;
 
-    /// Shared build preamble: validate, record shape, grow (host) or
-    /// grow-and-pin (device callers pin afterwards via ensure_pinned on
-    /// their own ensure calls) the staging.
-    void begin_build(const double* points, std::size_t coords, double radius) {
+    /// Shared build preamble: validate and record the shape.
+    void begin_build(const double* points, std::size_t n, std::size_t stride, double radius) {
         BEATNIK_REQUIRE(radius > 0.0, "search radius must be positive");
-        BEATNIK_REQUIRE(coords % 3 == 0, "points must be N x 3 coordinates");
-        BEATNIK_REQUIRE(coords == 0 || points != nullptr, "null point array");
-        n_ = coords / 3;
+        BEATNIK_REQUIRE(stride >= 3, "point stride must cover x, y and z");
+        BEATNIK_REQUIRE(n == 0 || points != nullptr, "null point array");
+        n_ = n;
         radius_ = radius;
         if (n_ == 0) {
             grid_ = CellGrid{radius, {0, 0, 0}, {1, 1, 1}};
@@ -350,7 +382,7 @@ private:
         }
     }
 
-    /// Fix the grid from folded cell-coordinate bounds and size the CSR
+    /// Fix the grid from folded cell-coordinate bounds and size the
     /// staging (pinned when the device build's kernels will write it —
     /// the host build never touches the device runtime). Both builds
     /// funnel through here, so host/device grids are identical by
@@ -369,18 +401,33 @@ private:
             cursors_.ensure_pinned(ncells);
             cell_of_.ensure_pinned(n_);
             points_by_cell_.ensure_pinned(n_);
+            sorted_.ensure_pinned(3 * n_);
         } else {
             offsets_.ensure(ncells + 1);
             cursors_.ensure(ncells);
             cell_of_.ensure(n_);
             points_by_cell_.ensure(n_);
+            sorted_.ensure(3 * n_);
         }
         return ncells;
     }
 
-    [[nodiscard]] std::size_t cell_of_point(const double* p) const {
-        return grid_.index(CellGrid::coord(p[0], grid_.cell), CellGrid::coord(p[1], grid_.cell),
-                           CellGrid::coord(p[2], grid_.cell));
+    /// Step 6 for one slot m, shared by both builds.
+    struct GatherPositions {
+        const double* pts;
+        std::size_t stride;
+        const std::uint32_t* by_cell;
+        double* xs;
+        std::size_t n;
+        void operator()(std::size_t m) const {
+            const double* p = pts + stride * by_cell[m];
+            xs[m] = p[0];
+            xs[n + m] = p[1];
+            xs[2 * n + m] = p[2];
+        }
+    };
+    [[nodiscard]] GatherPositions gather_positions(const double* pts, std::size_t stride) {
+        return {pts, stride, points_by_cell_.data(), sorted_.data(), n_};
     }
 
     CellGrid grid_;
@@ -390,6 +437,7 @@ private:
     par::device::PinnedStore<std::uint32_t> cursors_;        ///< fill cursors
     par::device::PinnedStore<std::uint32_t> cell_of_;        ///< per-point cell
     par::device::PinnedStore<std::uint32_t> points_by_cell_; ///< CSR payload
+    par::device::PinnedStore<double> sorted_;                ///< xs | ys | zs per slot
     par::device::PinnedStore<Bounds> bounds_;                ///< bounds partials
     par::device::ScanScratch scan_;
 };

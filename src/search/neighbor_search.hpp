@@ -1,24 +1,20 @@
 /// \file neighbor_search.hpp
-/// \brief Fixed-radius neighbor search over 3D point sets — the ArborX
-/// stand-in used by the cutoff Birkhoff–Rott solver (paper §3.2 step 3).
-///
-/// Algorithm: uniform binning with cell size == search radius, then a
-/// 27-cell stencil sweep. This is the standard cell-list method for
-/// fixed-radius queries and produces exactly the neighbor lists ArborX's
-/// spatial queries would return (verified against brute force in tests).
+/// \brief Fixed-radius neighbor lists over 3D point sets and the
+/// brute-force reference the cell list (search/cell_list.hpp, the ArborX
+/// stand-in of paper §3.2 step 3) is tested against.
 #pragma once
 
-#include <array>
-#include <cmath>
 #include <cstdint>
 #include <span>
-#include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "base/error.hpp"
 
 namespace beatnik::search {
+
+/// Pass as \p self_offset when the query set is unrelated to the source
+/// set (no self-pair to exclude).
+inline constexpr std::size_t kNoSelf = static_cast<std::size_t>(-1);
 
 /// Compressed (CSR) neighbor lists: neighbors of query point q are
 /// indices[offsets[q] .. offsets[q+1]).
@@ -37,137 +33,28 @@ struct NeighborList {
     }
 };
 
-/// Uniform bin grid over a 3D point set.
-///
-/// Build once per particle snapshot; query any point set against it.
-/// Neighbor means strictly within `radius` (squared-distance compare,
-/// self-pairs excluded when the query set is the source set).
-class BinGrid3D {
-public:
-    /// \p points is an N x 3 row-major coordinate array.
-    BinGrid3D(std::span<const double> points, double radius)
-        : points_(points.begin(), points.end()), radius_(radius) {
-        BEATNIK_REQUIRE(radius > 0.0, "search radius must be positive");
-        BEATNIK_REQUIRE(points.size() % 3 == 0, "points must be N x 3 coordinates");
-        const std::size_t n = points.size() / 3;
-        cell_size_ = radius;
-        for (std::size_t k = 0; k < n; ++k) {
-            bins_[cell_of(&points_[3 * k])].push_back(static_cast<std::uint32_t>(k));
-        }
-    }
-
-    [[nodiscard]] std::size_t size() const { return points_.size() / 3; }
-    [[nodiscard]] double radius() const { return radius_; }
-
-    /// Pass as \p self_offset when the query set is unrelated to the
-    /// source set (no self-pair to exclude).
-    static constexpr std::size_t kNoSelf = static_cast<std::size_t>(-1);
-
-    /// Neighbor lists for every query point. \p self_offset makes the
-    /// self-interaction exclusion explicit: query q corresponds to
-    /// source q + self_offset, and that one source is skipped. The old
-    /// boolean flag silently assumed the queries were an index-aligned
-    /// *prefix* of the sources (self_offset == 0); any other caller got
-    /// wrong-neighbor exclusion with no diagnostic, so the mapping is
-    /// now a checked parameter (kNoSelf = no exclusion).
-    [[nodiscard]] NeighborList query(std::span<const double> queries,
-                                     std::size_t self_offset) const {
-        BEATNIK_REQUIRE(queries.size() % 3 == 0, "queries must be N x 3 coordinates");
-        const std::size_t nq = queries.size() / 3;
-        BEATNIK_REQUIRE(self_offset == kNoSelf || self_offset + nq <= size(),
-                        "self_offset must map every query onto a source index");
-        const double r2 = radius_ * radius_;
-        NeighborList list;
-        list.offsets.resize(nq + 1, 0);
-        // Two passes (count, fill) keep the CSR arrays tight without
-        // intermediate per-query vectors.
-        for (int pass = 0; pass < 2; ++pass) {
-            for (std::size_t q = 0; q < nq; ++q) {
-                const double* qp = &queries[3 * q];
-                auto qc = cell_of(qp);
-                const std::size_t self = self_offset == kNoSelf ? kNoSelf : q + self_offset;
-                std::uint32_t written = 0;
-                for (int dz = -1; dz <= 1; ++dz) {
-                    for (int dy = -1; dy <= 1; ++dy) {
-                        for (int dx = -1; dx <= 1; ++dx) {
-                            auto it = bins_.find(
-                                {qc[0] + dx, qc[1] + dy, qc[2] + dz});
-                            if (it == bins_.end()) continue;
-                            for (std::uint32_t s : it->second) {
-                                if (s == self) continue;
-                                const double* sp = &points_[3 * s];
-                                double d2 = sq(qp[0] - sp[0]) + sq(qp[1] - sp[1]) +
-                                            sq(qp[2] - sp[2]);
-                                if (d2 < r2) {
-                                    if (pass == 1) {
-                                        list.indices[list.offsets[q] + written] = s;
-                                    }
-                                    ++written;
-                                }
-                            }
-                        }
-                    }
-                }
-                if (pass == 0) list.offsets[q + 1] = written;
-            }
-            if (pass == 0) {
-                for (std::size_t q = 0; q < nq; ++q) list.offsets[q + 1] += list.offsets[q];
-                list.indices.resize(list.offsets[nq]);
-            }
-        }
-        return list;
-    }
-
-    /// The pre-contract boolean form is a compile error: `true` would
-    /// silently convert to self_offset == 1 and exclude the *wrong*
-    /// source. (A deduced template so integer literals still bind to the
-    /// std::size_t overload above.)
-    template <class B, std::enable_if_t<std::is_same_v<B, bool>, int> = 0>
-    NeighborList query(std::span<const double>, B) const = delete;
-
-private:
-    using Cell = std::array<int, 3>;
-    struct CellHash {
-        std::size_t operator()(const Cell& c) const {
-            // Large-prime mix; cells are small ints so this is collision-light.
-            auto h = static_cast<std::size_t>(c[0]) * 73856093u;
-            h ^= static_cast<std::size_t>(c[1]) * 19349663u;
-            h ^= static_cast<std::size_t>(c[2]) * 83492791u;
-            return h;
-        }
-    };
-
-    static double sq(double v) { return v * v; }
-
-    [[nodiscard]] Cell cell_of(const double* p) const {
-        return {static_cast<int>(std::floor(p[0] / cell_size_)),
-                static_cast<int>(std::floor(p[1] / cell_size_)),
-                static_cast<int>(std::floor(p[2] / cell_size_))};
-    }
-
-    std::vector<double> points_;
-    double radius_;
-    double cell_size_ = 0.0;
-    std::unordered_map<Cell, std::vector<std::uint32_t>, CellHash> bins_;
-};
-
-/// O(N*M) reference used by tests and accuracy studies. \p self_offset
-/// follows the BinGrid3D::query contract (BinGrid3D::kNoSelf disables
-/// self-pair exclusion).
+/// O(N*M) reference used by tests and accuracy studies: neighbors of
+/// each query (N x 3 row-major) among \p points, strictly within
+/// \p radius (squared-distance compare), in ascending source order.
+/// \p self_offset makes the self-interaction exclusion explicit: query q
+/// corresponds to source q + self_offset, and that one source is
+/// skipped; kNoSelf disables exclusion.
 [[nodiscard]] inline NeighborList brute_force_neighbors(std::span<const double> points,
                                                         std::span<const double> queries,
                                                         double radius,
                                                         std::size_t self_offset) {
+    BEATNIK_REQUIRE(radius > 0.0, "search radius must be positive");
+    BEATNIK_REQUIRE(points.size() % 3 == 0 && queries.size() % 3 == 0,
+                    "points and queries must be N x 3 coordinates");
     const std::size_t n = points.size() / 3;
     const std::size_t nq = queries.size() / 3;
-    BEATNIK_REQUIRE(self_offset == BinGrid3D::kNoSelf || self_offset + nq <= n,
+    BEATNIK_REQUIRE(self_offset == kNoSelf || self_offset + nq <= n,
                     "self_offset must map every query onto a source index");
     const double r2 = radius * radius;
     NeighborList list;
     list.offsets.resize(nq + 1, 0);
     for (std::size_t q = 0; q < nq; ++q) {
-        const std::size_t self = self_offset == BinGrid3D::kNoSelf ? BinGrid3D::kNoSelf
-                                                                   : q + self_offset;
+        const std::size_t self = self_offset == kNoSelf ? kNoSelf : q + self_offset;
         for (std::size_t s = 0; s < n; ++s) {
             if (s == self) continue;
             double d2 = 0.0;

@@ -7,16 +7,18 @@
 #include <cstring>
 #include <functional>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "core/beatnik.hpp"
-#include "search/neighbor_search.hpp"
+#include "search/cell_list.hpp"
 #include "test_env.hpp"
 
 namespace b = beatnik;
 namespace bc = beatnik::comm;
 namespace bg = beatnik::grid;
 namespace bp = beatnik::par;
+namespace bs = beatnik::search;
 namespace bt = beatnik::test;
 
 namespace {
@@ -279,6 +281,158 @@ TEST(BRSolvers, SweepMatchesScalarKernelBitwise) {
             reference_sweep(targets, sources, kEps2, whole_expect);
             EXPECT_TRUE(same_bits(whole, whole_expect)) << "nt=" << nt;
         }
+    }
+}
+
+/// The cutoff solver's per-target loop before br_cutoff_sweep: the
+/// 27-cell stencil in dz/dy/dx order, each cell's points ascending, the
+/// squared distance against index-order positions, then one br_kernel per
+/// hit with the self source skipped.
+b::Vec3 reference_cutoff_sum(const bs::CellList3D& cells, const std::vector<b::SourcePoint>& src,
+                             const b::Vec3& t, std::uint32_t self, double r2, double eps2,
+                             std::uint32_t& count) {
+    const bs::CellGrid& g = cells.grid();
+    const int qc[3] = {bs::CellGrid::coord(t.x, g.cell), bs::CellGrid::coord(t.y, g.cell),
+                       bs::CellGrid::coord(t.z, g.cell)};
+    b::Vec3 sum{};
+    count = 0;
+    for (int dz = -1; dz <= 1; ++dz) {
+        for (int dy = -1; dy <= 1; ++dy) {
+            for (int dx = -1; dx <= 1; ++dx) {
+                const int c[3] = {qc[0] + dx, qc[1] + dy, qc[2] + dz};
+                bool inside = true;
+                for (std::size_t d = 0; d < 3; ++d) {
+                    inside = inside && c[d] >= g.lo[d] && c[d] < g.lo[d] + g.n[d];
+                }
+                if (!inside) continue;
+                const std::size_t cell = g.index(c[0], c[1], c[2]);
+                for (std::uint32_t m = cells.cell_offsets()[cell];
+                     m < cells.cell_offsets()[cell + 1]; ++m) {
+                    const std::uint32_t s = cells.cell_points()[m];
+                    const b::Vec3 d = t - src[s].pos;
+                    if (d.x * d.x + d.y * d.y + d.z * d.z < r2 && s != self) {
+                        sum += b::br_kernel(t, src[s].pos, src[s].gamma, eps2);
+                        ++count;
+                    }
+                }
+            }
+        }
+    }
+    return sum;
+}
+
+/// Check br_cutoff_sweep against the stencil oracle for every source as a
+/// target (self skipped) and for \p extra targets that are no source,
+/// with and without AVX2 dispatch and with the sweep driven from a
+/// par::parallel_for on each backend. Returns the hit counts of the
+/// source targets (from the oracle).
+std::vector<std::uint32_t> expect_cutoff_sweep_bitwise(const std::vector<b::SourcePoint>& src,
+                                                       const std::vector<b::Vec3>& extra,
+                                                       double radius, const std::string& what) {
+    constexpr double kEps2 = 2.5e-3;
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    static_assert(sizeof(b::SourcePoint) % sizeof(double) == 0);
+    bs::CellList3D cells;
+    cells.build_host(&src[0].pos.x, src.size(), sizeof(b::SourcePoint) / sizeof(double), radius);
+    const double r2 = radius * radius;
+    std::vector<b::Vec3> targets;
+    std::vector<std::uint32_t> selfs;
+    for (std::size_t s = 0; s < src.size(); ++s) {
+        targets.push_back(src[s].pos);
+        selfs.push_back(static_cast<std::uint32_t>(s));
+    }
+    for (const b::Vec3& t : extra) {
+        targets.push_back(t);
+        selfs.push_back(kNone);
+    }
+    const std::size_t nt = targets.size();
+    std::vector<b::Vec3> expect(nt);
+    std::vector<std::uint32_t> expect_count(nt);
+    for (std::size_t i = 0; i < nt; ++i) {
+        expect[i] = reference_cutoff_sum(cells, src, targets[i], selfs[i], r2, kEps2,
+                                         expect_count[i]);
+    }
+    const bs::CellView v = cells.view();
+    for (bp::Backend backend : {bp::Backend::serial, bp::Backend::device}) {
+        bp::ScopedBackend scoped(backend);
+        for (bool simd : {false, true}) {
+            std::vector<b::Vec3> got(nt);
+            std::vector<std::uint32_t> count(nt);
+            const b::SourcePoint* sp = src.data();
+            const b::Vec3* tp = targets.data();
+            const std::uint32_t* self = selfs.data();
+            b::Vec3* gp = got.data();
+            std::uint32_t* cp = count.data();
+            bp::parallel_for(nt, [=](std::size_t i) {
+                cp[i] = b::detail::br_cutoff_sweep(v, sp, tp[i], self[i], r2, kEps2, gp[i], simd);
+            });
+            EXPECT_TRUE(same_bits(got, expect))
+                << what << " simd=" << simd
+                << " backend=" << (backend == bp::Backend::device ? "device" : "serial");
+            EXPECT_EQ(count, expect_count) << what << " simd=" << simd;
+        }
+    }
+    // The public entry point takes the CPU's dispatch.
+    for (std::size_t i = 0; i < nt; ++i) {
+        b::Vec3 sum{};
+        EXPECT_EQ(b::br_cutoff_sweep(v, src.data(), targets[i], selfs[i], r2, kEps2, sum),
+                  expect_count[i]);
+        EXPECT_EQ(std::memcmp(&sum, &expect[i], sizeof(b::Vec3)), 0) << what << " target " << i;
+    }
+    expect_count.resize(src.size());
+    return expect_count;
+}
+
+std::vector<b::SourcePoint> random_sources(std::size_t n, std::uint64_t seed, double extent) {
+    b::SplitMix64 rng(bt::seed() + seed);
+    std::vector<b::SourcePoint> src(n);
+    for (auto& s : src) {
+        s.pos = {rng.uniform(-extent, extent), rng.uniform(-extent, extent),
+                 rng.uniform(-extent, extent)};
+        s.gamma = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    }
+    return src;
+}
+
+// br_cutoff_sweep (row scans, filter, 4-hit kernel lanes) must carry the
+// exact bits and hit counts of the stencil loop it replaced.
+TEST(BRSolvers, CutoffSweepMatchesStencilLoopBitwise) {
+    // Random clouds, with targets on and beyond every grid face.
+    for (double radius : {0.3, 0.7, 1.9}) {
+        auto src = random_sources(400, 70, 2.0);
+        std::vector<b::Vec3> extra;
+        for (double a : {-2.0 - radius, -2.0, 0.0, 2.0, 2.0 + radius}) {
+            extra.push_back({a, 0.1, -0.2});
+            extra.push_back({0.3, a, 0.2});
+            extra.push_back({-0.1, 0.4, a});
+        }
+        expect_cutoff_sweep_bitwise(src, extra, radius, "random r=" + std::to_string(radius));
+    }
+    // Coincident and duplicate points: r = 0 gives signed-zero kernel
+    // terms, and duplicates share one position with different gammas.
+    {
+        auto src = random_sources(60, 71, 1.0);
+        for (std::size_t k = 0; k < 20; ++k) src[40 + k].pos = src[k % 5].pos;
+        expect_cutoff_sweep_bitwise(src, {src[3].pos, src[7].pos}, 0.5, "duplicates");
+    }
+    // A single-cell grid whose one row holds more than a filter chunk.
+    {
+        auto src = random_sources(3 * b::kCutoffSweepChunk + 5, 72, 0.01);
+        for (auto& s : src) s.pos += b::Vec3{0.5, 0.5, 0.5};
+        bs::CellList3D cells;
+        cells.build_host(&src[0].pos.x, src.size(), sizeof(b::SourcePoint) / sizeof(double), 1.0);
+        ASSERT_EQ(cells.grid().num_cells(), 1u);
+        auto counts = expect_cutoff_sweep_bitwise(src, {}, 1.0, "single cell");
+        for (std::uint32_t c : counts) EXPECT_EQ(c, src.size() - 1);
+    }
+    // Hit counts 0..7 around one target (every lane tail length), in a
+    // cloud whose other points lie out of reach.
+    for (std::uint32_t k = 0; k <= 7; ++k) {
+        auto src = random_sources(k + 1, 80 + k, 0.2);
+        src[0].pos = {0.0, 0.0, 0.0};
+        for (double a : {-3.0, 3.0}) src.push_back({{a, a, a}, {1.0, 0.5, 0.25}});
+        auto counts = expect_cutoff_sweep_bitwise(src, {}, 1.0, "k=" + std::to_string(k));
+        EXPECT_EQ(counts[0], k);
     }
 }
 
