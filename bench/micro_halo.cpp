@@ -1,15 +1,12 @@
 /// \file micro_halo.cpp
-/// \brief Persistent-plan vs legacy per-call microbenchmarks for the two
-/// p2p-heavy patterns the paper leans on: structured halo exchange and
-/// the FFT reshape's custom point-to-point path.
+/// \brief Persistent-plan microbenchmarks for the two p2p-heavy patterns
+/// the paper leans on: structured halo exchange and the FFT reshape's
+/// custom point-to-point path.
 ///
 /// `algo` selects the implementation:
 ///   * "plan"   — a comm::Plan-backed path built once and reused
 ///     (grid::HaloPlan / fft::ReshapePlan p2p), zero allocation and no
 ///     mailbox matching per iteration;
-///   * "legacy" — the pre-plan per-call path, replicated here verbatim:
-///     user-tag buffered sends through the mailbox, pack/unpack staging
-///     vectors, and (for reshape) the zero-fill output pass;
 ///   * "device" — (halo only) the GPU-shaped backend: the field lives in
 ///     a device mirror and device kernels pack/unpack straight into the
 ///     plan's pinned transport buffers, quantifying the pack/stage
@@ -66,31 +63,7 @@ double time_pattern(int ranks, int iters, Setup&& setup) {
     return ns_per_op;
 }
 
-/// The pre-plan halo exchange, replicated: per-call neighbor discovery,
-/// staging-vector pack, buffered user-tag sends, copy-out receives.
-template <class T, int C>
-void legacy_halo_exchange(bc::Communicator& comm, const bg::CartTopology2D& topo,
-                          const bg::LocalGrid2D& grid, bg::NodeField<T, C>& field) {
-    const int rank = comm.rank();
-    std::vector<T> buf;
-    for (int k = 0; k < 8; ++k) {
-        auto [di, dj] = bg::kNeighborDirs2D[static_cast<std::size_t>(k)];
-        int nbr = topo.neighbor(rank, di, dj);
-        if (nbr < 0) continue;
-        field.pack(grid.shared_space(di, dj), buf);
-        comm.send(std::span<const T>(buf.data(), buf.size()), nbr, 1000 + (7 - k));
-    }
-    std::vector<T> incoming;
-    for (int k = 0; k < 8; ++k) {
-        auto [di, dj] = bg::kNeighborDirs2D[static_cast<std::size_t>(k)];
-        int nbr = topo.neighbor(rank, di, dj);
-        if (nbr < 0) continue;
-        comm.recv<T>(incoming, nbr, 1000 + k);
-        field.unpack(grid.halo_space(di, dj), incoming);
-    }
-}
-
-enum class HaloAlgo { legacy, plan, device, device_overlap };
+enum class HaloAlgo { plan, device, device_overlap };
 
 Result bench_halo(int ranks, int nodes_per_axis, int halo, HaloAlgo algo, int iters) {
     constexpr int kComponents = 3;
@@ -119,14 +92,9 @@ Result bench_halo(int ranks, int nodes_per_axis, int halo, HaloAlgo algo, int it
                 plan->exchange(*field);
             });
         }
-        if (algo == HaloAlgo::plan) {
-            auto plan = std::make_shared<bg::HaloPlan<double, kComponents>>(comm, *topo, *grid);
-            return std::function<void()>([plan, field, mesh, topo, grid] {
-                plan->exchange(*field);
-            });
-        }
-        return std::function<void()>([&comm, field, mesh, topo, grid] {
-            legacy_halo_exchange(comm, *topo, *grid, *field);
+        auto plan = std::make_shared<bg::HaloPlan<double, kComponents>>(comm, *topo, *grid);
+        return std::function<void()>([plan, field, mesh, topo, grid] {
+            plan->exchange(*field);
         });
     });
     // Largest single message: an edge band (block_extent x halo x C).
@@ -137,49 +105,11 @@ Result bench_halo(int ranks, int nodes_per_axis, int halo, HaloAlgo algo, int it
         sizeof(double);
     const char* name = algo == HaloAlgo::device_overlap ? "device_overlap"
                        : algo == HaloAlgo::device       ? "device"
-                       : algo == HaloAlgo::plan         ? "plan"
-                                                        : "legacy";
+                                                        : "plan";
     return {"halo", name, ranks, edge_bytes, iters, ns};
 }
 
-/// The pre-plan p2p reshape, replicated: zero-fill output, staging
-/// vectors, blocking user-tag sends/recvs in plan order.
-void legacy_reshape_p2p(bc::Communicator& comm, const bf::ReshapePlan& plan,
-                        const bf::Layout2D& src, std::span<const bf::cplx> in,
-                        const bf::Layout2D& dst, std::vector<bf::cplx>& out) {
-    out.assign(dst.size(), bf::cplx{0.0, 0.0});
-    constexpr int kTag = 2000;
-    std::vector<bf::cplx> buf;
-    auto pack = [&](const bf::Box2D& box) {
-        buf.clear();
-        for (int i = box.i.begin; i < box.i.end; ++i) {
-            for (int j = box.j.begin; j < box.j.end; ++j) buf.push_back(in[src.offset(i, j)]);
-        }
-    };
-    auto unpack = [&](const bf::Box2D& box, std::span<const bf::cplx> data) {
-        std::size_t k = 0;
-        for (int i = box.i.begin; i < box.i.end; ++i) {
-            for (int j = box.j.begin; j < box.j.end; ++j) out[dst.offset(i, j)] = data[k++];
-        }
-    };
-    for (const auto& t : plan.sends()) {
-        if (t.peer == comm.rank()) continue;
-        pack(t.box);
-        comm.send(std::span<const bf::cplx>(buf.data(), buf.size()), t.peer, kTag);
-    }
-    std::vector<bf::cplx> incoming;
-    for (const auto& t : plan.recvs()) {
-        if (t.peer == comm.rank()) {
-            pack(t.box);
-            unpack(t.box, std::span<const bf::cplx>(buf.data(), buf.size()));
-            continue;
-        }
-        comm.recv<bf::cplx>(incoming, t.peer, kTag);
-        unpack(t.box, std::span<const bf::cplx>(incoming.data(), incoming.size()));
-    }
-}
-
-Result bench_reshape(int ranks, int n, bool plan_path, int iters) {
+Result bench_reshape(int ranks, int n, int iters) {
     double ns = time_pattern(ranks, iters, [=](bc::Communicator& comm) {
         std::array<int, 2> global{n, n};
         auto dims = bg::dims_create_2d(comm.size());
@@ -196,14 +126,9 @@ Result bench_reshape(int ranks, int n, bool plan_path, int iters) {
             (*in)[i] = {static_cast<double>(i % 97), static_cast<double>(comm.rank())};
         }
         auto out = std::make_shared<std::vector<bf::cplx>>();
-        if (plan_path) {
-            return std::function<void()>([&comm, plan, src, dst, in, out, bricks, pencils] {
-                plan->execute(comm, *src, std::span<const bf::cplx>(*in), *dst, *out,
-                              /*use_alltoall=*/false);
-            });
-        }
         return std::function<void()>([&comm, plan, src, dst, in, out, bricks, pencils] {
-            legacy_reshape_p2p(comm, *plan, *src, std::span<const bf::cplx>(*in), *dst, *out);
+            plan->execute(comm, *src, std::span<const bf::cplx>(*in), *dst, *out,
+                          /*use_alltoall=*/false);
         });
     });
     // Largest single message: one brick/pencil intersection. Bricks are
@@ -212,8 +137,7 @@ Result bench_reshape(int ranks, int n, bool plan_path, int iters) {
     auto dims = bg::dims_create_2d(ranks);
     std::size_t isect = (static_cast<std::size_t>(n) / static_cast<std::size_t>(ranks)) *
                         (static_cast<std::size_t>(n) / static_cast<std::size_t>(dims[1]));
-    return {"reshape_p2p", plan_path ? "plan" : "legacy", ranks, isect * sizeof(bf::cplx), iters,
-            ns};
+    return {"reshape_p2p", "plan", ranks, isect * sizeof(bf::cplx), iters, ns};
 }
 
 int run(int argc, char** argv) {
@@ -232,15 +156,12 @@ int run(int argc, char** argv) {
     auto n = [quick](int full) { return beatnik::bench::scaled_iters(quick, full); };
 
     std::vector<Result> results;
-    for (auto algo :
-         {HaloAlgo::legacy, HaloAlgo::plan, HaloAlgo::device, HaloAlgo::device_overlap}) {
+    for (auto algo : {HaloAlgo::plan, HaloAlgo::device, HaloAlgo::device_overlap}) {
         results.push_back(bench_halo(8, 64, 2, algo, n(2000)));    // small blocks
         results.push_back(bench_halo(8, 256, 2, algo, n(500)));    // bigger bands
     }
-    for (bool plan_path : {false, true}) {
-        results.push_back(bench_reshape(8, 64, plan_path, n(1000)));    // small reshape
-        results.push_back(bench_reshape(8, 256, plan_path, n(200)));    // bigger reshape
-    }
+    results.push_back(bench_reshape(8, 64, n(1000)));    // small reshape
+    results.push_back(bench_reshape(8, 256, n(200)));    // bigger reshape
 
     std::printf("%-12s %-8s %6s %10s %8s %14s\n", "op", "algo", "ranks", "bytes", "iters",
                 "ns/op");

@@ -18,8 +18,8 @@
 ///     the BR kernel over its cutoff neighbors (the cutoff solver's step
 ///     4): the 27-cell loop with one scalar br_kernel per hit, against
 ///     br_cutoff_sweep's row scans, filter and 4-hit kernel lanes;
-///   * op "migrate",   algo host — ns per particle exchanged (8 ranks,
-///     50% off-rank);
+///   * op "migrate",   algo plan — ns per particle exchanged through one
+///     reused MigratePlan (8 ranks, 50% off-rank);
 ///   * op "cutoff_eval", algo host — ns per solver step (4 ranks,
 ///     32x32 mesh, the five-step cutoff pipeline end to end).
 ///
@@ -255,15 +255,15 @@ Result bench_migrate(int p, int percent_moving, int iters) {
                                                static_cast<std::uint64_t>(comm.size()))
                             : comm.rank();
         }
+        bg::MigratePlan<P> plan(comm);
         double local = time_ns(iters, [&] {
-            auto r = bg::migrate(comm, std::span<const P>(particles),
-                                 std::span<const int>(dest));
+            auto r = plan.execute(std::span<const P>(particles), std::span<const int>(dest));
             volatile std::size_t sink = r.size();
             (void)sink;
         });
         if (comm.rank() == 0) ns = local;
     });
-    return {"migrate", "host", p, kPerRank * sizeof(P) * static_cast<std::size_t>(p), iters,
+    return {"migrate", "plan", p, kPerRank * sizeof(P) * static_cast<std::size_t>(p), iters,
             ns / static_cast<double>(kPerRank * static_cast<std::size_t>(p))};
 }
 

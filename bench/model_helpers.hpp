@@ -43,8 +43,7 @@ inline double loworder_step_seconds(std::array<int, 2> topo, std::array<int, 2> 
                                     const netsim::MachineModel& machine) {
     const int p = topo[0] * topo[1];
     auto to_spectral = fft::DistributedFFT2D::plan_schedule(global, topo, config,
-                                                            /*components=*/3,
-                                                            /*spectral_end=*/true);
+                                                            /*components=*/3);
     netsim::NetworkSimulator sim(machine, p);
     // The from-spectral leg mirrors the to-spectral one (same messages
     // reversed, same butterflies), so the pair is the leg run twice.

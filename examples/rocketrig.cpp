@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
     // A configuration the solver rejects at run time (a failed check on
     // some rank) ends the run with its message, not std::terminate.
     return ex::guarded_main("rocketrig", [&] {
+        int nonfinite_step = 0;   // first summary step whose state is not finite
         b::comm::Context::run(nranks, [&](b::comm::Communicator& comm) {
             b::Solver solver(comm, params);
             {
@@ -113,6 +114,12 @@ int main(int argc, char** argv) {
                        << std::setprecision(3) << summary.max_height
                        << "  |w|_2=" << summary.vorticity_l2;
                     ex::print0(comm, os.str());
+                    // The summary is a collective reduction, so every rank
+                    // stops at the same step.
+                    if (!summary.finite()) {
+                        if (comm.rank() == 0) nonfinite_step = s;
+                        return;
+                    }
                     if (census && solver.cutoff_solver() != nullptr) {
                         auto stats = b::imbalance_stats(b::ownership_census(comm, solver));
                         std::ostringstream cs;
@@ -131,5 +138,8 @@ int main(int argc, char** argv) {
                 ex::print0(comm, os.str());
             }
         });
+        if (nonfinite_step > 0) {
+            throw b::Error("non-finite state at step " + std::to_string(nonfinite_step));
+        }
     });
 }

@@ -175,8 +175,8 @@ public:
     /// Drop channels nobody references anymore whose tag can never be
     /// reissued (a key predicate supplied by the caller — in practice the
     /// sequence-tag band, which is allocated monotonically). Fixed-tag
-    /// channels (the halo band) are deliberately kept: transient wrapper
-    /// plans reattach to them call after call. Any plan that could still
+    /// channels (the halo band) are deliberately kept: a successor plan
+    /// built on the same tags reattaches to them. Any plan that could still
     /// use a channel holds its shared_ptr, so use_count()==1 (registry
     /// only) proves no *live* plan references it — but a FULL channel is
     /// still carrying a message for a receiver that has not bound yet

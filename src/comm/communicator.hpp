@@ -844,8 +844,8 @@ public:
     [[nodiscard]] int new_plan_tag() { return tags::plan_seq(plan_seq_++); }
 
     /// Sequence-band plan tags this communicator has handed out so far
-    /// (leak/exhaustion checks: the deprecated fixed-stream halo wrappers
-    /// must never advance this).
+    /// (leak/exhaustion checks: a plan rebuild cycle must consume exactly
+    /// the tags its plans draw).
     [[nodiscard]] int plan_tags_used() const { return plan_seq_; }
 
     /// Context (world) rank of communicator rank \p r.

@@ -31,8 +31,7 @@
 /// participant eventually starts its iteration. A plan should finish its
 /// current iteration before destruction; destruction releases any
 /// consumed-but-unreleased slots so the channels are immediately reusable
-/// by a successor plan (this is what lets the deprecated free-function
-/// halo wrappers rebuild a plan per call on the same channels).
+/// by a successor plan built on the same fixed tags.
 ///
 /// Lifetime: a plan may be *destroyed* after its context (channels and
 /// registry are shared-owned), but it must only be *executed* while the
@@ -554,9 +553,9 @@ private:
         st_.reset();   // drop our channel references first
         // Reclaim channels nobody can ever reach again: sequence tags are
         // allocated monotonically, so once no plan references such a
-        // channel it is dead. Halo-band channels persist for wrapper
-        // reattachment — a plan that held only those (the per-call
-        // deprecated wrappers) skips the registry scan entirely.
+        // channel it is dead. Fixed-tag (halo-band) channels persist so a
+        // successor plan on the same tags reattaches to them — a plan that
+        // held only those skips the registry scan entirely.
         if (registry != nullptr && had_seq_channels) {
             registry->prune_unreferenced([](const ChannelKey& k) {
                 return k.tag >= tags::plan_seq_base && k.tag < tags::plan_limit;

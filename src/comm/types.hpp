@@ -27,10 +27,10 @@ inline constexpr int any_tag = -1;
 ///   [plan_base, plan_limit)          persistent comm::Plan channels
 ///   [collective_base, INT_MAX]       per-communicator collective sequence
 ///
-/// The plan band is further subdivided: halo plans use a fixed
-/// (direction, stream) encoding so that the same field shape always maps
-/// to the same channels, while every other plan (reshape, migrate, ...)
-/// draws a fresh tag from the per-communicator plan sequence
+/// The plan band is further subdivided: a fixed-tag sub-band with a
+/// (direction, stream) encoding (tags::halo), whose channels persist
+/// across plan rebuilds, and the per-communicator plan sequence that the
+/// halo, reshape and migrate plans draw fresh tags from
 /// (Communicator::new_plan_tag, allocated in collective build order).
 namespace tags {
 
@@ -46,7 +46,7 @@ inline constexpr int halo_base = plan_base;
 inline constexpr int halo_max_streams = 1 << 16;
 inline constexpr int halo_limit = halo_base + halo_max_streams * 16;
 
-/// Sequence-allocated plan tags (reshape, migrate, user plans).
+/// Sequence-allocated plan tags (halo, reshape, migrate, user plans).
 inline constexpr int plan_seq_base = halo_limit;
 inline constexpr int plan_seq_count = plan_limit - plan_seq_base;
 

@@ -4,15 +4,24 @@
 /// behind the paper's Figs. 6–7.
 #pragma once
 
+#include <cmath>
+#include <limits>
+
 #include "core/solver.hpp"
 
 namespace beatnik {
 
 struct StateSummary {
-    double max_height = 0.0;     ///< max |z3| — instability amplitude
+    double max_height = 0.0;     ///< max |z3| — instability amplitude (+inf if any z3 is NaN)
     double vorticity_l2 = 0.0;   ///< global L2 norm of (w1, w2)
     double mean_height = 0.0;    ///< mean z3 (should stay ~0)
     std::size_t total_nodes = 0;
+
+    /// False once the state has left its finite window on any rank.
+    [[nodiscard]] bool finite() const {
+        return std::isfinite(max_height) && std::isfinite(vorticity_l2) &&
+               std::isfinite(mean_height);
+    }
 };
 
 /// Global reductions over the interface state. Collective. Diagnostics
@@ -25,10 +34,14 @@ inline StateSummary summarize(ProblemManager& pm) {
     // per-node accessor calls would re-run the coherence checks.
     const auto& z = std::as_const(pm).position();
     const auto& w = std::as_const(pm).vorticity();
+    // std::max and op::Max both drop a NaN operand, so a NaN height
+    // enters the reduction as +inf: one blown-up node on any rank makes
+    // max_height non-finite everywhere.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     double max_h = 0.0, sum_h = 0.0, sum_w2 = 0.0;
     grid::for_each(local.own_space(), [&](int i, int j) {
         double h = z(i, j, 2);
-        max_h = std::max(max_h, std::abs(h));
+        max_h = std::max(max_h, std::isnan(h) ? kInf : std::abs(h));
         sum_h += h;
         sum_w2 += w(i, j, 0) * w(i, j, 0) + w(i, j, 1) * w(i, j, 1);
     });

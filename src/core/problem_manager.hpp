@@ -38,15 +38,11 @@ namespace beatnik {
 
 class ProblemManager {
 public:
-    /// Distinct halo-exchange streams so interleaved exchanges of
-    /// different fields never cross-match.
-    enum Stream : int { kPositionStream = 0, kVorticityStream = 1, kScratchStream = 2 };
-
     ProblemManager(comm::Communicator& comm, const SurfaceMesh& mesh, const Params& params)
         : comm_(&comm), mesh_(&mesh), bc_(mesh), z_(mesh.local()), w_(mesh.local()),
-          // Auto-stream plans: tags come from the communicator's plan
-          // sequence, so several ProblemManagers can coexist on one
-          // communicator (construction is collective).
+          // Plan tags come from the communicator's plan sequence, so
+          // several ProblemManagers can coexist on one communicator
+          // (construction is collective).
           z_halo_(comm, mesh.topology(), mesh.local()),
           w_halo_(comm, mesh.topology(), mesh.local()),
           scratch_halo_(comm, mesh.topology(), mesh.local()) {
@@ -195,14 +191,14 @@ public:
     /// solver (e.g. the Bernoulli scalar or a velocity component). Plans
     /// are field-agnostic for a given shape, so every supported width
     /// rides one of the persistent plans (a 3-component scratch exchange
-    /// reuses the position plan's channels, etc.); other widths fall back
-    /// to a throwaway wrapper plan on a separate fixed stream. A device-
-    /// mirrored field on a device-resident state exchanges and fixes up
-    /// entirely on device; unmirrored fields take the host path even when
-    /// the plans are device-enabled (the pinned buffers are ordinary host
-    /// memory to host code).
+    /// reuses the position plan's channels, etc.). A device-mirrored
+    /// field on a device-resident state exchanges and fixes up entirely
+    /// on device; unmirrored fields take the host path even when the plans
+    /// are device-enabled (the pinned buffers are ordinary host memory to
+    /// host code).
     template <int C>
     void gather_scratch_halo(grid::NodeField<double, C>& f) {
+        static_assert(C >= 1 && C <= 3, "scratch halos ride the 1-, 2- and 3-component plans");
         static const telemetry::Phase ph{"step/halo_scratch"};
         telemetry::PhaseScope scope(ph);
         const bool on_device = resident_ && f.device_mirrored();
@@ -210,17 +206,8 @@ public:
             scratch_halo_.exchange(f);
         } else if constexpr (C == 2) {
             w_halo_.exchange(f);
-        } else if constexpr (C == 3) {
-            z_halo_.exchange(f);
         } else {
-            // The throwaway wrapper plan is never device-enabled, so it
-            // would exchange the *host* copy of a mirrored field — refuse
-            // loudly rather than silently shipping stale data.
-            BEATNIK_REQUIRE(!f.device_mirrored(),
-                            "scratch halo fallback widths do not support device-mirrored "
-                            "fields — use a 1/2/3-component field or exchange the host copy");
-            grid::halo_exchange(*comm_, mesh_->topology(), mesh_->local(), f,
-                                kScratchStream + C);
+            z_halo_.exchange(f);
         }
         if (on_device) {
             bc_.apply_value_device(*queue_, f);

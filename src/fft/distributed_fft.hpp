@@ -15,26 +15,20 @@
 /// generate different message schedules and memory behavior — which is
 /// exactly the property Fig. 9 of the paper measures.
 ///
-/// Data contract: forward()/inverse() operate in place on the rank's
-/// brick in mesh-native layout (j fastest), matching the surface mesh's
-/// owned block. Transforms are unnormalized forward, 1/(N0*N1) inverse.
-///
-/// Spectral-space consumers that only apply a per-mode operator (a
-/// Fourier multiplier) need not return to the brick between the forward
-/// and the inverse transform. to_spectral() runs the forward stages and
-/// stops in the stage-2 layout — spectral_layout(), a box of complete
-/// axis-0 lines whose size in general differs from the brick's —
-/// and from_spectral() runs the inverse stages from there back to the
-/// brick. Both take a component count: the array then holds that many
-/// components back to back, each in the layout of the current stage
+/// Data contract: the transform runs between the rank's brick in
+/// mesh-native layout (j fastest), matching the surface mesh's owned
+/// block, and the spectral layout. to_spectral() runs the forward stages
+/// and stops in the stage-2 layout — spectral_layout(), a box of complete
+/// axis-0 lines whose size in general differs from the brick's — and
+/// from_spectral() runs the inverse stages from there back to the brick.
+/// Spectral-space consumers only apply a per-mode operator (a Fourier
+/// multiplier), so they never need the spectrum back on the brick. Both
+/// take a component count: the array then holds that many components
+/// back to back, each in the layout of the current stage
 /// (component-major), and every reshape moves all components of a
 /// transfer rectangle as one message. A batch of k components costs the
-/// messages of one transform, and a to/from-spectral round trip costs 4
-/// reshapes instead of the 6 of forward() + inverse(). forward() is
-/// to_spectral() plus the stage2->brick reshape, and inverse() is the
-/// brick->stage2 reshape plus from_spectral(): there is one stage
-/// sequence, and the per-line butterflies — hence the results — are
-/// bitwise identical whichever entry point runs them.
+/// messages of one transform, and a round trip costs 4 reshapes.
+/// Transforms are unnormalized forward, 1/(N0*N1) inverse.
 #pragma once
 
 #include <array>
@@ -96,11 +90,6 @@ public:
     /// addressed by global mode index through Layout2D::offset().
     [[nodiscard]] const Layout2D& spectral_layout() const { return stage2_.layout; }
 
-    /// In-place forward transform of this rank's brick (j-fastest order).
-    void forward(std::vector<cplx>& data);
-    /// In-place inverse transform (scaled so inverse(forward(x)) == x).
-    void inverse(std::vector<cplx>& data);
-
     /// Forward-transform \p components bricks stored back to back in
     /// \p data, leaving them in place in the spectral layout: \p data is
     /// resized from components * local_box().size() to components *
@@ -111,16 +100,16 @@ public:
     /// from_spectral(to_spectral(x)) == x).
     void from_spectral(std::vector<cplx>& data, int components);
 
-    /// Route the reshape staging through the device: the persistent stage
-    /// buffers are pinned over their whole allocation, and the
+    /// Route the reshape staging through the device: the persistent stage-1
+    /// buffer is pinned over its whole allocation, and the
     /// p2p reshapes pack/unpack with device kernels straight into the
     /// pinned plan transport buffers (ReshapePlan::enable_device). The
     /// caller's transform arrays must be pinned too. The butterflies stay
     /// host compute over the pinned lines — the cuFFT seam on real
-    /// hardware. The alltoall configurations keep host staging. For
-    /// to_spectral()/from_spectral() the caller's array changes size
-    /// between the layouts, so its capacity must cover both before it is
-    /// pinned (resizing within capacity keeps the pinned range in place).
+    /// hardware. The alltoall configurations keep host staging. The
+    /// caller's array changes size between the brick and spectral
+    /// layouts, so its capacity must cover both before it is pinned
+    /// (resizing within capacity keeps the pinned range in place).
     void enable_device(par::device::Queue& q);
 
     /// Signed integer mode for index m of an N-point axis
@@ -130,15 +119,13 @@ public:
     /// Build the full communication/computation schedule of one forward
     /// transform of \p components stacked arrays for any rank count,
     /// without a communicator or data. This is how the scaling benchmarks
-    /// obtain P=1024 schedules. With \p spectral_end the schedule is the
-    /// to_spectral() leg (2 phases, ending in the spectral layout) instead
-    /// of the full brick->brick forward() (3 phases); the from_spectral()
-    /// leg is its mirror image with the same cost structure.
+    /// obtain P=1024 schedules. The schedule is the to_spectral() leg (2
+    /// phases, ending in the spectral layout); the from_spectral() leg is
+    /// its mirror image with the same cost structure.
     [[nodiscard]] static std::vector<PlannedPhase> plan_schedule(std::array<int, 2> global,
                                                                  std::array<int, 2> topo_dims,
                                                                  FFTConfig config,
-                                                                 int components = 1,
-                                                                 bool spectral_end = false);
+                                                                 int components = 1);
 
 private:
     struct Stage {
@@ -165,12 +152,6 @@ private:
     /// \p components arrays stacked in \p data.
     void transform_stage(std::vector<cplx>& data, const Stage& stage, bool inverse,
                          int components) const;
-    /// The one forward stage sequence: brick (\p in) -> stage 1 (work_)
-    /// -> stage 2 (\p out), transforming axis 1 then axis 0.
-    void run_to_spectral(std::span<const cplx> in, std::vector<cplx>& out, int components);
-    /// The one inverse stage sequence: stage 2 (\p in, transformed in
-    /// place) -> stage 1 (work_) -> brick (\p out).
-    void run_from_spectral(std::vector<cplx>& in, std::vector<cplx>& out, int components);
     /// Under enable_device, grow the stage-1 buffer's pinned allocation to
     /// hold \p components arrays before a reshape writes it.
     void reserve_stage1(int components);
@@ -184,22 +165,17 @@ private:
     // Forward-path reshapes.
     ReshapePlan to_stage1_;
     ReshapePlan stage1_to_stage2_;
-    ReshapePlan stage2_to_brick_;
     // Inverse-path reshapes (the reverse route).
-    ReshapePlan to_stage2_;
     ReshapePlan stage2_to_stage1_;
     ReshapePlan stage1_to_brick_;
-    // Persistent stage buffers: sized on the first transform, reused by
-    // every subsequent one (reshape outputs resize() into them without a
-    // zero-fill pass). work_ always holds stage-1 data (components x
-    // stage-1 size); work2_ holds forward()/inverse()'s stage-2 data.
-    // Under enable_device each buffer's whole allocation is pinned, so
-    // resizes within capacity never move the registered range; a larger
-    // component count regrows and re-pins work_ (reserve_stage1).
+    // Persistent stage-1 buffer (components x stage-1 size): sized on the
+    // first transform, reused by every subsequent one (reshape outputs
+    // resize() into it without a zero-fill pass). Under enable_device its
+    // whole allocation is pinned, so resizes within capacity never move
+    // the registered range; a larger component count regrows and re-pins
+    // it (reserve_stage1).
     std::vector<cplx> work_;
-    std::vector<cplx> work2_;
     par::device::ScopedHostRegistration pinned_work_;
-    par::device::ScopedHostRegistration pinned_work2_;
     bool device_ = false;
 };
 

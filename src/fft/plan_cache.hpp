@@ -1,15 +1,12 @@
 /// \file plan_cache.hpp
-/// \brief Shared persistent-plan binding for the reshape p2p paths.
+/// \brief Persistent-plan binding for the reshape p2p path.
 ///
-/// Both reshape planners (2D ReshapePlan, 3D Reshape3D) execute their
-/// point-to-point path through a comm::Plan bound lazily on first
-/// execution. The binding logic — draw a lockstep plan tag, register one
-/// slot per off-rank transfer, rebuild if the communicator changed or a
-/// sweep carries more components than the slots hold — is identical up
-/// to the Transfer type (which only needs `.peer` and `.box.size()`), so
-/// it lives here once. Copies of a planner share the
-/// cache via shared_ptr: forward/inverse paths over identical box lists
-/// reuse the same channels.
+/// ReshapePlan executes its point-to-point path (`AllToAll=false`)
+/// through a comm::Plan bound lazily on first execution: draw a lockstep
+/// plan tag, register one slot per off-rank transfer rectangle, and
+/// rebuild if the communicator changed or a sweep carries more
+/// components than the slots hold. Copies of a ReshapePlan share the
+/// cache via shared_ptr.
 #pragma once
 
 #include <optional>
@@ -17,10 +14,19 @@
 #include <vector>
 
 #include "comm/plan.hpp"
+#include "fft/layout.hpp"
 #include "fft/serial_fft.hpp"
 #include "par/device/device.hpp"
 
-namespace beatnik::fft::detail {
+namespace beatnik::fft {
+
+/// One planned transfer rectangle between a pair of ranks.
+struct Transfer {
+    int peer = 0;   ///< The other rank.
+    Box2D box;      ///< Global index rectangle carried by this transfer.
+};
+
+namespace detail {
 
 /// Execution-time state of a bound p2p reshape plan. Touched only from
 /// the owning rank-thread.
@@ -51,13 +57,11 @@ struct P2PPlanCache {
     /// the communicator's collective plan sequence, so every rank binding
     /// the same reshape in the same order — with the same component
     /// count, as every collective call has — resolves the same channels.
-    /// \p Transfer needs `.peer` and `.box.size()`.
     ///
     /// Communicator change is detected by address, so a planner holding
     /// this cache must not be carried across contexts: a new context can
     /// reuse the old communicator's address and would silently alias the
     /// stale binding (see the lifetime note in comm/plan.hpp).
-    template <class Transfer>
     void bind(comm::Communicator& c, const std::vector<Transfer>& sends,
               const std::vector<Transfer>& recvs, std::size_t ncomp) {
         if (comm == &c && plan.has_value() && ncomp <= components) return;
@@ -104,11 +108,11 @@ struct P2PPlanCache {
     /// if needed, pack each off-rank rectangle straight into its transport
     /// slot and publish, copy the self rectangle locally, then unpack
     /// arrivals in completion order, releasing each slot as soon as it is
-    /// consumed. The pack/unpack callables carry the dimension-specific
-    /// layouts and handle all components of a rectangle:
+    /// consumed. The pack/unpack callables carry the source and
+    /// destination layouts and handle all components of a rectangle:
     ///   pack_into(box, cplx* dst), pack_self(box, std::vector<cplx>&),
     ///   unpack(box, std::span<const cplx>).
-    template <class Transfer, class PackInto, class PackSelf, class Unpack>
+    template <class PackInto, class PackSelf, class Unpack>
     void execute(comm::Communicator& c, const std::vector<Transfer>& sends,
                  const std::vector<Transfer>& recvs, std::size_t ncomp, PackInto&& pack_into,
                  PackSelf&& pack_self, Unpack&& unpack, const char* size_error) {
@@ -144,4 +148,6 @@ struct P2PPlanCache {
     }
 };
 
-} // namespace beatnik::fft::detail
+} // namespace detail
+
+} // namespace beatnik::fft

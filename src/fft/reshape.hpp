@@ -15,6 +15,10 @@
 /// rectangle then moves all components as one message (component-major
 /// wire order), so a batch pays the message count of a single array.
 ///
+/// DistributedFFT2D holds four of these: brick -> stage 1 -> stage 2 for
+/// to_spectral() and the reverse route for from_spectral(). They are the
+/// transform's only communication.
+///
 /// The plan itself is communication-free and can be built for any rank
 /// count — the scaling benchmarks build P=1024 plans and feed their
 /// message schedules straight into the netsim performance model.
@@ -29,12 +33,6 @@
 #include "telemetry/telemetry.hpp"
 
 namespace beatnik::fft {
-
-/// One planned transfer rectangle between a pair of ranks.
-struct Transfer {
-    int peer = 0;   ///< The other rank.
-    Box2D box;      ///< Global index rectangle carried by this transfer.
-};
 
 /// A planned repartition from layout list A to layout list B over P ranks.
 class ReshapePlan {

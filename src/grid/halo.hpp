@@ -9,14 +9,11 @@
 /// non-periodic boundaries no message is exchanged and ghost values are
 /// left for the BoundaryCondition module to fill by extrapolation.
 ///
-/// The primary API is HaloPlan: built once per (topology, grid, stream)
-/// it pre-registers every neighbor channel, and each exchange() /
+/// HaloPlan is the one halo path: built once per (topology, grid, field
+/// shape) it pre-registers every neighbor channel, and each exchange() /
 /// scatter_add() iteration packs straight into the transport buffers and
 /// unpacks messages in arrival order — zero per-iteration allocation and
-/// no mailbox matching. The halo_exchange()/halo_scatter_add() free
-/// functions remain as deprecated thin wrappers that build a throwaway
-/// plan per call (the channels themselves persist in the context, so even
-/// the wrappers reuse buffers across calls).
+/// no mailbox matching.
 #pragma once
 
 #include <array>
@@ -32,14 +29,6 @@ namespace beatnik::grid {
 inline constexpr std::array<std::array<int, 2>, 8> kNeighborDirs2D{{
     {-1, -1}, {-1, 0}, {-1, 1}, {0, -1}, {0, 1}, {1, -1}, {1, 0}, {1, 1}}};
 
-/// Tag of the halo channel for direction index \p dir_index (0..7) and
-/// caller-provided stream id, drawn from the reserved plan tag band (see
-/// comm/types.hpp) so halo traffic provably cannot collide with user tags
-/// or the collective tag sequence.
-inline int halo_tag(int dir_index, int stream) {
-    return comm::tags::halo(dir_index, stream);
-}
-
 /// Persistent halo-exchange plan for one field shape.
 ///
 /// Build once per (communicator, topology, grid, components); the
@@ -48,14 +37,11 @@ inline int halo_tag(int dir_index, int stream) {
 /// correct even on degenerate process grids (1xN, periodic) where the
 /// same rank is a neighbor in several directions — including self-sends.
 ///
-/// Tagging: by default (\p stream == kAutoStream) the plan draws a block
-/// of 8 direction tags from the communicator's plan sequence, so any
-/// number of persistent plans can coexist on one communicator as long as
-/// they are built collectively in the same order. A fixed \p stream >= 0
-/// instead uses the halo tag sub-band (tags::halo) — stable across
-/// rebuilds, which is what lets the deprecated free-function wrappers
-/// reuse the same channels call after call, but two *live* plans must
-/// then never share a stream.
+/// Tagging: the plan draws a block of 8 direction tags from the
+/// communicator's plan sequence, so any number of persistent plans can
+/// coexist on one communicator as long as they are built collectively in
+/// the same order. A destroyed plan gives its channels back to the
+/// context's registry.
 template <class T, int C>
 class HaloPlan {
 public:
@@ -64,22 +50,15 @@ public:
     static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
                   "channel buffers only guarantee default new alignment");
 
-    /// Draw direction tags from the communicator's plan sequence.
-    static constexpr int kAutoStream = -1;
-
-    HaloPlan(comm::Communicator& comm, const CartTopology2D& topo, const LocalGrid2D& grid,
-             int stream = kAutoStream)
+    HaloPlan(comm::Communicator& comm, const CartTopology2D& topo, const LocalGrid2D& grid)
         : grid_(grid) {
         const int rank = comm.rank();
         if (grid.halo_width() == 0) return;   // nothing to exchange, empty plan
         // All 8 tags are allocated unconditionally (even for directions
         // with no neighbor) so the plan-sequence counter stays in lockstep
         // across ranks with different neighbor counts.
-        std::array<int, 8> dir_tag;
-        for (int k = 0; k < 8; ++k) {
-            dir_tag[static_cast<std::size_t>(k)] =
-                stream == kAutoStream ? comm.new_plan_tag() : halo_tag(k, stream);
-        }
+        std::array<int, 8> dir_tag{};
+        for (int& tag : dir_tag) tag = comm.new_plan_tag();
         auto b = comm::Plan::builder(comm);
         for (int k = 0; k < 8; ++k) {
             auto [di, dj] = kNeighborDirs2D[static_cast<std::size_t>(k)];
@@ -310,27 +289,5 @@ private:
     std::vector<const void*> send_keys_;
     std::vector<const void*> recv_keys_;
 };
-
-/// Deprecated: exchange ghost layers of \p field with all existing
-/// neighbors. Thin wrapper that builds a HaloPlan per call — prefer
-/// building a HaloPlan once per field shape and calling exchange() on it
-/// (the plan path is allocation-free per iteration; this wrapper is not).
-template <class T, int C>
-void halo_exchange(comm::Communicator& comm, const CartTopology2D& topo, const LocalGrid2D& grid,
-                   NodeField<T, C>& field, int stream = 0) {
-    BEATNIK_REQUIRE(field.halo_width() == grid.halo_width(), "field/grid halo width mismatch");
-    if (grid.halo_width() == 0) return;
-    HaloPlan<T, C>(comm, topo, grid, stream).exchange(field);
-}
-
-/// Deprecated: reverse halo exchange ("scatter-add"). Thin wrapper over
-/// HaloPlan::scatter_add — prefer a persistent HaloPlan.
-template <class T, int C>
-void halo_scatter_add(comm::Communicator& comm, const CartTopology2D& topo,
-                      const LocalGrid2D& grid, NodeField<T, C>& field, int stream = 0) {
-    BEATNIK_REQUIRE(field.halo_width() == grid.halo_width(), "field/grid halo width mismatch");
-    if (grid.halo_width() == 0) return;
-    HaloPlan<T, C>(comm, topo, grid, stream).scatter_add(field);
-}
 
 } // namespace beatnik::grid

@@ -66,8 +66,7 @@ namespace beatnik::netsim {
             phases.push_back(std::move(ph));
         }
     }
-    // Trailing compute (zero for a full brick->brick transform, nonzero if
-    // the last planned phase carried work).
+    // Trailing compute: the butterflies after the last planned reshape.
     Phase tail;
     tail.label = "tail-compute";
     tail.compute_seconds = std::move(pending_compute);

@@ -404,8 +404,8 @@ TEST(Plan, AbortWakesBlockedWait) {
 }
 
 TEST(Plan, SuccessorPlanReusesChannels) {
-    // Build / exchange / destroy in a loop (the deprecated-wrapper
-    // pattern): every generation attaches to the same registry channels.
+    // Build / exchange / destroy in a loop on one fixed halo-band tag:
+    // every generation attaches to the same registry channels.
     run(2, [](bc::Communicator& comm) {
         int peer = 1 - comm.rank();
         const int tag = bc::tags::halo(0, /*stream=*/77);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "core/beatnik.hpp"
 
@@ -72,6 +73,22 @@ TEST_P(SolverOrderP, RunsAndGrowsInstability) {
         // The unstable configuration must inject vorticity and grow.
         EXPECT_GT(after.vorticity_l2, 0.0);
         EXPECT_GE(after.max_height, 0.9 * before.max_height);
+    });
+}
+
+TEST(Diagnostics, SummarizeReportsNonFiniteHeightOnEveryRank) {
+    // std::max and op::Max both drop a NaN operand: one rank's NaN height
+    // must still make max_height non-finite on every rank.
+    run(4, [](bc::Communicator& comm) {
+        b::Solver solver(comm, small_problem(b::Order::low, b::Boundary::periodic));
+        EXPECT_TRUE(b::summarize(solver.state()).finite());
+        if (comm.rank() == 2) {
+            solver.state().position()(1, 1, 2) = std::numeric_limits<double>::quiet_NaN();
+        }
+        auto s = b::summarize(solver.state());
+        EXPECT_FALSE(std::isfinite(s.max_height)) << "rank " << comm.rank();
+        EXPECT_TRUE(std::isfinite(s.vorticity_l2)) << "rank " << comm.rank();
+        EXPECT_FALSE(s.finite()) << "rank " << comm.rank();
     });
 }
 

@@ -1,5 +1,6 @@
-// Particle migration tests: multiset preservation, ordering, multi-target
-// distribution — the invariants the CutoffBRSolver redistribution relies on.
+// Particle migration tests on MigratePlan: multiset preservation,
+// ordering, multi-target (ghost) distribution — the invariants the
+// CutoffBRSolver redistribution relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,8 +43,8 @@ TEST_P(MigrateP, PreservesParticleMultiset) {
             mine.push_back({gid * 1.5, 0.0, 0.0, gid, comm.rank()});
             dest.push_back(static_cast<int>(beatnik::hash_mix(3, gid) % static_cast<std::uint64_t>(p)));
         }
-        auto received = bg::migrate(comm, std::span<const Particle>(mine),
-                                    std::span<const int>(dest));
+        bg::MigratePlan<Particle> plan(comm);
+        auto received = plan.execute(std::span<const Particle>(mine), std::span<const int>(dest));
 
         // Every received particle was really destined here.
         for (const auto& part : received) {
@@ -73,32 +74,32 @@ TEST_P(MigrateP, GroupsArrivalsBySourceRank) {
             mine.push_back({0.0, 0.0, 0.0, static_cast<std::uint64_t>(comm.rank()), comm.rank()});
             dest.push_back(r);
         }
-        auto received = bg::migrate(comm, std::span<const Particle>(mine),
-                                    std::span<const int>(dest));
+        bg::MigratePlan<Particle> plan(comm);
+        auto received = plan.execute(std::span<const Particle>(mine), std::span<const int>(dest));
         ASSERT_EQ(received.size(), static_cast<std::size_t>(p));
         for (int r = 0; r < p; ++r) EXPECT_EQ(received[static_cast<std::size_t>(r)].origin, r);
     });
 }
 
-TEST(Migrate, EmptySendsAreFine) {
+TEST(MigratePlan, EmptySendsAreFine) {
     run(4, [](bc::Communicator& comm) {
         std::vector<Particle> none;
         std::vector<int> dest;
-        auto received = bg::migrate(comm, std::span<const Particle>(none),
-                                    std::span<const int>(dest));
+        bg::MigratePlan<Particle> plan(comm);
+        auto received = plan.execute(std::span<const Particle>(none), std::span<const int>(dest));
         EXPECT_TRUE(received.empty());
     });
 }
 
-TEST(Migrate, AllToOneHotspot) {
+TEST(MigratePlan, AllToOneHotspot) {
     run(6, [](bc::Communicator& comm) {
         std::vector<Particle> mine(10);
         for (std::size_t k = 0; k < mine.size(); ++k) {
             mine[k] = {1.0, 2.0, 3.0, static_cast<std::uint64_t>(k), comm.rank()};
         }
         std::vector<int> dest(10, 0);
-        auto received = bg::migrate(comm, std::span<const Particle>(mine),
-                                    std::span<const int>(dest));
+        bg::MigratePlan<Particle> plan(comm);
+        auto received = plan.execute(std::span<const Particle>(mine), std::span<const int>(dest));
         if (comm.rank() == 0) {
             EXPECT_EQ(received.size(), 60u);
         } else {
@@ -107,50 +108,72 @@ TEST(Migrate, AllToOneHotspot) {
     });
 }
 
-TEST(Migrate, RejectsMismatchedLengths) {
+TEST(MigratePlan, RejectsMismatchedLengths) {
     run(2, [](bc::Communicator& comm) {
+        bg::MigratePlan<Particle> plan(comm);   // construction is collective
         if (comm.rank() == 0) {
             std::vector<Particle> one(1);
             std::vector<int> none;
-            EXPECT_THROW((void)bg::migrate(comm, std::span<const Particle>(one),
-                                           std::span<const int>(none)),
+            EXPECT_THROW((void)plan.execute(std::span<const Particle>(one),
+                                            std::span<const int>(none)),
+                         beatnik::Error);
+            std::vector<int> out_of_range{2};
+            EXPECT_THROW((void)plan.execute(std::span<const Particle>(one),
+                                            std::span<const int>(out_of_range)),
                          beatnik::Error);
         }
-        // Note: rank 1 intentionally idle; migrate on rank 0 must fail
+        // Note: rank 1 intentionally idle; execute on rank 0 must fail
         // before any communication happens.
     });
 }
 
 // ----------------------------------------------------- persistent plans
 
-TEST_P(MigrateP, PlanReuseMatchesLegacyPathEveryIteration) {
+/// Rank \p rank's particles and destinations at iteration \p iter of
+/// PlanReuseMatchesExpectedArrivalsEveryIteration. Every rank can
+/// regenerate every other rank's list, so the expected arrivals need no
+/// communication.
+void reuse_case(int rank, int p, int iter, std::vector<Particle>& mine, std::vector<int>& dest) {
+    mine.clear();
+    dest.clear();
+    // Varying per-iteration counts exercise the channel growth path and
+    // the empty-block case.
+    const int n = 10 + ((rank * 7 + iter * 13) % 40);
+    for (int k = 0; k < n; ++k) {
+        std::uint64_t gid = static_cast<std::uint64_t>(rank) * 10'000 +
+                            static_cast<std::uint64_t>(iter) * 100 + static_cast<std::uint64_t>(k);
+        mine.push_back({gid * 0.5, iter * 1.0, 0.0, gid, rank});
+        dest.push_back(
+            static_cast<int>(beatnik::hash_mix(11, gid) % static_cast<std::uint64_t>(p)));
+    }
+}
+
+TEST_P(MigrateP, PlanReuseMatchesExpectedArrivalsEveryIteration) {
     run(GetParam(), [](bc::Communicator& comm) {
         const int p = comm.size();
         bg::MigratePlan<Particle> plan(comm);
+        std::vector<Particle> mine;
+        std::vector<int> dest;
         for (int iter = 0; iter < 20; ++iter) {
-            // Varying per-iteration counts exercise the channel growth
-            // path and the empty-block case.
-            const int n = 10 + ((comm.rank() * 7 + iter * 13) % 40);
-            std::vector<Particle> mine;
-            std::vector<int> dest;
-            for (int k = 0; k < n; ++k) {
-                std::uint64_t gid = static_cast<std::uint64_t>(comm.rank()) * 10'000 +
-                                    static_cast<std::uint64_t>(iter) * 100 +
-                                    static_cast<std::uint64_t>(k);
-                mine.push_back({gid * 0.5, iter * 1.0, 0.0, gid, comm.rank()});
-                dest.push_back(static_cast<int>(beatnik::hash_mix(11, gid) %
-                                                static_cast<std::uint64_t>(p)));
+            // Expected: every source's particles bound here, sources in
+            // ascending rank order, each source's in input order.
+            std::vector<Particle> expected;
+            for (int src = 0; src < p; ++src) {
+                reuse_case(src, p, iter, mine, dest);
+                for (std::size_t k = 0; k < mine.size(); ++k) {
+                    if (dest[k] == comm.rank()) expected.push_back(mine[k]);
+                }
             }
-            auto via_plan = plan.execute(std::span<const Particle>(mine),
-                                         std::span<const int>(dest));
-            auto via_legacy = bg::migrate(comm, std::span<const Particle>(mine),
-                                          std::span<const int>(dest));
-            // Same grouping contract (by source rank ascending), so the
-            // results must be byte-identical.
-            ASSERT_EQ(via_plan.size(), via_legacy.size()) << "iteration " << iter;
-            EXPECT_TRUE(std::memcmp(via_plan.data(), via_legacy.data(),
-                                    via_plan.size() * sizeof(Particle)) == 0)
-                << "iteration " << iter << " rank " << comm.rank();
+            reuse_case(comm.rank(), p, iter, mine, dest);
+            auto got = plan.execute(std::span<const Particle>(mine), std::span<const int>(dest));
+            ASSERT_EQ(got.size(), expected.size()) << "iteration " << iter;
+            for (std::size_t k = 0; k < got.size(); ++k) {
+                EXPECT_EQ(got[k].gid, expected[k].gid) << "iteration " << iter << " slot " << k;
+                EXPECT_EQ(got[k].origin, expected[k].origin);
+                EXPECT_EQ(got[k].x, expected[k].x);
+                EXPECT_EQ(got[k].y, expected[k].y);
+                EXPECT_EQ(got[k].z, expected[k].z);
+            }
         }
     });
 }
@@ -231,44 +254,30 @@ TEST_P(MigrateP, ExecuteIntoMatchesExecuteBitwise) {
     });
 }
 
-TEST(Distribute, ParticleCanReachMultipleRanks) {
+TEST(MigratePlan, GhostCopiesReachEveryTarget) {
+    // Ghost distribution: a particle bound for several ranks is listed
+    // once per destination. Rank 0 ghosts one particle to ranks {0,1,2};
+    // everyone else keeps one particle local.
     run(4, [](bc::Communicator& comm) {
-        // Rank 0 owns one particle ghosted to ranks {1,2}; everyone else
-        // owns one particle kept local.
         std::vector<Particle> mine;
-        std::vector<std::size_t> offs{0};
         std::vector<int> targets;
         if (comm.rank() == 0) {
-            mine.push_back({7.0, 0.0, 0.0, 100, 0});
+            mine.assign(3, Particle{7.0, 0.0, 0.0, 100, 0});
             targets = {0, 1, 2};
-            offs.push_back(3);
         } else {
             mine.push_back({1.0, 0.0, 0.0, static_cast<std::uint64_t>(comm.rank()), comm.rank()});
             targets = {comm.rank()};
-            offs.push_back(1);
         }
-        auto received = bg::distribute(comm, std::span<const Particle>(mine),
-                                       std::span<const std::size_t>(offs),
-                                       std::span<const int>(targets));
-        std::size_t expected = comm.rank() <= 2 ? (comm.rank() == 0 ? 1u : 2u) : 1u;
+        bg::MigratePlan<Particle> plan(comm);
+        auto received = plan.execute(std::span<const Particle>(mine),
+                                     std::span<const int>(targets));
+        std::size_t expected = comm.rank() == 1 || comm.rank() == 2 ? 2u : 1u;
         ASSERT_EQ(received.size(), expected);
         if (comm.rank() == 1 || comm.rank() == 2) {
             // Arrivals grouped by source: rank 0's ghost first.
             EXPECT_EQ(received[0].gid, 100u);
             EXPECT_EQ(received[1].gid, static_cast<std::uint64_t>(comm.rank()));
         }
-    });
-}
-
-TEST(Distribute, ZeroTargetsDropsParticle) {
-    run(3, [](bc::Communicator& comm) {
-        std::vector<Particle> mine{{1.0, 2.0, 3.0, static_cast<std::uint64_t>(comm.rank()), comm.rank()}};
-        std::vector<std::size_t> offs{0, 0}; // no targets: particle vanishes
-        std::vector<int> targets;
-        auto received = bg::distribute(comm, std::span<const Particle>(mine),
-                                       std::span<const std::size_t>(offs),
-                                       std::span<const int>(targets));
-        EXPECT_TRUE(received.empty());
     });
 }
 

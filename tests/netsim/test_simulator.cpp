@@ -181,8 +181,8 @@ TEST(FftBridge, SchedulesCarryComputeAndMessages) {
     auto planned = bf::DistributedFFT2D::plan_schedule({64, 64}, {2, 2}, bf::FFTConfig{});
     auto m = bn::MachineModel::lassen();
     auto phases = bn::fft_phases(planned, m, 4, /*transforms=*/2);
-    // 3 reshape phases per transform x2 + tail compute.
-    ASSERT_EQ(phases.size(), 7u);
+    // 2 reshape phases per transform x2 + tail compute.
+    ASSERT_EQ(phases.size(), 5u);
     double compute = 0.0;
     std::size_t msgs = 0;
     for (const auto& ph : phases) {
@@ -235,8 +235,7 @@ TEST(FftBridge, WeakScalingRuntimeGrowsWithRankCount) {
         int p = side_ranks * side_ranks;
         std::array<int, 2> global{128 * side_ranks, 128 * side_ranks};
         auto planned = bf::DistributedFFT2D::plan_schedule(global, {side_ranks, side_ranks},
-                                                           bf::FFTConfig{}, /*components=*/3,
-                                                           /*spectral_end=*/true);
+                                                           bf::FFTConfig{}, /*components=*/3);
         EXPECT_EQ(planned.size(), 2u);
         bn::NetworkSimulator sim(m, p);
         return sim.simulate(bn::fft_phases(planned, m, p, /*transforms=*/2)).makespan;
