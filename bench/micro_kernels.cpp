@@ -21,7 +21,12 @@
 ///   * op "migrate",   algo plan — ns per particle exchanged through one
 ///     reused MigratePlan (8 ranks, 50% off-rank);
 ///   * op "cutoff_eval", algo host — ns per solver step (4 ranks,
-///     32x32 mesh, the five-step cutoff pipeline end to end).
+///     32x32 mesh, the five-step cutoff pipeline end to end);
+///   * op "fft_lines", algo per_line | many — ns per 128-point line
+///     transform over 96 contiguous lines (one distributed-FFT stage of
+///     the lo_fft deck): the scalar std::complex loop one line at a time
+///     (tests/fft/scalar_fft_oracle.hpp) vs one SerialFFT1D::transform_many
+///     call on AVX2 lanes.
 ///
 /// Usage:
 ///   bench_micro_kernels [--out <file.json>] [--quick]
@@ -33,6 +38,8 @@
 
 #include "base/rng.hpp"
 #include "core/beatnik.hpp"
+#include "fft/scalar_fft_oracle.hpp"
+#include "fft/serial_fft.hpp"
 #include "measure.hpp"
 #include "search/cell_list.hpp"
 
@@ -42,6 +49,7 @@ namespace bc = beatnik::comm;
 namespace bg = beatnik::grid;
 namespace bs = beatnik::search;
 namespace bd = beatnik::par::device;
+namespace bf = beatnik::fft;
 
 namespace {
 
@@ -281,6 +289,31 @@ Result bench_cutoff_eval(int p, int mesh, int iters) {
             iters, ns};
 }
 
+/// ns per line transform: every iteration runs a forward and an inverse
+/// pass over all lines, which keeps the values bounded.
+std::vector<Result> bench_fft_lines(int iters) {
+    constexpr std::size_t kN = 128;
+    constexpr std::size_t kLines = 96;
+    std::vector<bf::cplx> x(kN * kLines);
+    beatnik::SplitMix64 rng(13);
+    for (auto& v : x) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    const bf::oracle::ScalarFFT1D oracle(kN);
+    const double per_line = time_ns(iters, [&] {
+        for (std::size_t l = 0; l < kLines; ++l) oracle.forward_strided(x.data() + l * kN, 1);
+        for (std::size_t l = 0; l < kLines; ++l) oracle.inverse_strided(x.data() + l * kN, 1);
+    });
+    const bf::SerialFFT1D& plan = bf::plan_for(kN);
+    bf::FFTScratch scratch;
+    const double many = time_ns(iters, [&] {
+        plan.transform_many(x.data(), kLines, 1, kN, bf::Direction::forward, scratch);
+        plan.transform_many(x.data(), kLines, 1, kN, bf::Direction::inverse, scratch);
+    });
+    const std::size_t bytes = x.size() * sizeof(bf::cplx);
+    const double transforms = 2.0 * kLines;
+    return {{"fft_lines", "per_line", 1, bytes, iters, per_line / transforms},
+            {"fft_lines", "many", 1, bytes, iters, many / transforms}};
+}
+
 int run(int argc, char** argv) {
     std::string out_path;
     bool quick = false;
@@ -310,6 +343,7 @@ int run(int argc, char** argv) {
     }
     results.push_back(bench_migrate(8, 50, n(50)));
     results.push_back(bench_cutoff_eval(4, 32, n(20)));
+    for (const Result& r : bench_fft_lines(n(500))) results.push_back(r);
 
     std::printf("%-12s %-12s %6s %10s %8s %14s\n", "op", "algo", "ranks", "bytes", "iters",
                 "ns/op");

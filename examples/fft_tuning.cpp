@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
 
         for (int idx = 0; idx < 8; ++idx) {
             double elapsed = 0.0;
+            bool finite = true;
             b::comm::Context::run(nranks, [&](b::comm::Communicator& comm) {
                 b::Params params = b::decks::multimode_loworder(mesh);
                 params.surface_low = {-1.0, -1.0};
@@ -38,7 +39,14 @@ int main(int argc, char** argv) {
                 solver.advance(steps);
                 comm.barrier();
                 if (comm.rank() == 0) elapsed = watch.seconds();
+                // Collective, outside the timed window.
+                const bool ok = b::summarize(solver.state()).finite();
+                if (comm.rank() == 0) finite = ok;
             });
+            if (!finite) {
+                throw b::Error("non-finite state after " + std::to_string(steps) +
+                               " steps in config " + std::to_string(idx));
+            }
             auto cfg = b::fft::FFTConfig::from_table1_index(idx);
             std::ostringstream os;
             os << "   " << idx << "      " << (cfg.use_alltoall ? "True " : "False") << "     "

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
         const int mesh = args.get_int("mesh", 64);
         const int steps = args.get_int("steps", 20);
 
+        int nonfinite_step = 0; // first summary step whose state is not finite
         b::comm::Context::run(nranks, [&](b::comm::Communicator& comm) {
             // A rocket-rig style multi-mode problem: periodic boundaries,
             // low-order Z-Model (Fourier interface velocity).
@@ -41,6 +42,12 @@ int main(int argc, char** argv) {
                        << std::setprecision(3) << summary.max_height
                        << "  |w|_2=" << summary.vorticity_l2;
                     ex::print0(comm, os.str());
+                    // The summary is a collective reduction, so every rank
+                    // stops at the same step.
+                    if (!summary.finite()) {
+                        if (comm.rank() == 0) nonfinite_step = solver.step_count();
+                        return;
+                    }
                 }
             }
 
@@ -49,5 +56,8 @@ int main(int argc, char** argv) {
             ex::print0(comm, "wrote quickstart_surface_" + std::to_string(solver.step_count()) +
                                  ".vtk (open in ParaView/VisIt)");
         });
+        if (nonfinite_step > 0) {
+            throw b::Error("non-finite state at step " + std::to_string(nonfinite_step));
+        }
     });
 }

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
         const int steps = args.get_int("steps", 40);
         const double cutoff = args.get_double("cutoff", 0.8);
 
+        int nonfinite_step = 0; // first summary step whose state is not finite
         b::comm::Context::run(nranks, [&](b::comm::Communicator& comm) {
             b::Params params = b::decks::singlemode_highorder(mesh, cutoff);
             params.initial.magnitude = 0.3; // push hard so the rollup shows quickly
@@ -41,6 +42,11 @@ int main(int argc, char** argv) {
                 solver.step();
                 if (s % report_every == 0 || s == steps) {
                     auto summary = b::summarize(solver.state());
+                    // Collective, so every rank stops at the same step.
+                    if (!summary.finite()) {
+                        if (comm.rank() == 0) nonfinite_step = s;
+                        return;
+                    }
                     auto stats = b::imbalance_stats(b::ownership_census(comm, solver));
                     std::ostringstream os;
                     os << std::setw(4) << s << "  " << std::fixed << std::setprecision(4)
@@ -55,5 +61,8 @@ int main(int argc, char** argv) {
             ex::print0(comm, "wrote rollup_surface_*.vtk — color by vorticity_magnitude to "
                              "reproduce the paper's Fig. 2 view");
         });
+        if (nonfinite_step > 0) {
+            throw b::Error("non-finite state at step " + std::to_string(nonfinite_step));
+        }
     });
 }

@@ -14,13 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#if (defined(__GNUC__) || defined(__clang__)) && (defined(__x86_64__) || defined(__i386__))
-#include <immintrin.h>
-#define BEATNIK_BR_SWEEP_AVX2 1
-#else
-#define BEATNIK_BR_SWEEP_AVX2 0
-#endif
-
+#include "base/simd.hpp"
 #include "core/problem_manager.hpp"
 #include "core/types.hpp"
 #include "search/cell_list.hpp"
@@ -62,7 +56,7 @@ inline void br_sweep_scalar(const Vec3* targets, std::size_t nt, const SourcePoi
     }
 }
 
-#if BEATNIK_BR_SWEEP_AVX2
+#if BEATNIK_X86_SIMD
 using BrLanes = double __attribute__((vector_size(32)));
 static_assert(sizeof(BrLanes) == kBrSweepLanes * sizeof(double));
 
@@ -93,14 +87,6 @@ static_assert(sizeof(BrLanes) == kBrSweepLanes * sizeof(double));
     }
     for (std::size_t l = 0; l < kBrSweepLanes; ++l) accum[l] += Vec3{sx[l], sy[l], sz[l]};
 }
-
-inline bool br_sweep_has_avx2() {
-    static const bool ok = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("avx2") != 0;
-    }();
-    return ok;
-}
 #endif
 
 } // namespace detail
@@ -112,8 +98,8 @@ inline bool br_sweep_has_avx2() {
 inline void br_sweep(const Vec3* targets, std::size_t nt, const SourcePoint* sources,
                      std::size_t ns, double eps2, Vec3* accum) {
     std::size_t t = 0;
-#if BEATNIK_BR_SWEEP_AVX2
-    if (detail::br_sweep_has_avx2()) {
+#if BEATNIK_X86_SIMD
+    if (cpu_has_avx2()) {
         for (; t + kBrSweepLanes <= nt; t += kBrSweepLanes) {
             detail::br_sweep4_avx2(targets + t, sources, ns, eps2, accum + t);
         }
@@ -155,7 +141,7 @@ inline void cutoff_kernel_scalar(const std::uint32_t* points, const Source* sour
     }
 }
 
-#if BEATNIK_BR_SWEEP_AVX2
+#if BEATNIK_X86_SIMD
 /// For each 4-bit lane mask: its set lanes packed to the front, and how
 /// many there are (the filter's branch-free hit compaction).
 struct CutoffLanePack {
@@ -271,19 +257,19 @@ template <class Source>
 #endif
 
 /// br_cutoff_sweep with the SIMD dispatch made explicit (\p simd is
-/// ignored where AVX2 is not compiled in).
+/// ignored where BEATNIK_X86_SIMD is 0).
 template <class Source>
 inline std::uint32_t br_cutoff_sweep(const search::CellView& v, const Source* sources,
                                      const Vec3& target, std::uint32_t self, double r2,
                                      double eps2, Vec3& sum, bool simd) {
-#if !BEATNIK_BR_SWEEP_AVX2
+#if !BEATNIK_X86_SIMD
     simd = false;
 #endif
     std::uint32_t hits[kCutoffSweepChunk];
     std::size_t nh = 0;
     std::uint32_t count = 0;
     const auto flush = [&] {
-#if BEATNIK_BR_SWEEP_AVX2
+#if BEATNIK_X86_SIMD
         if (simd) {
             cutoff_kernel_avx2(v.points, sources, hits, nh, target, eps2, sum);
         } else
@@ -300,7 +286,7 @@ inline std::uint32_t br_cutoff_sweep(const search::CellView& v, const Source* so
             const std::uint32_t ce = static_cast<std::uint32_t>(
                 std::min<std::size_t>(e, std::size_t{c} + kCutoffSweepChunk));
             if (nh + (ce - c) > kCutoffSweepChunk) flush();
-#if BEATNIK_BR_SWEEP_AVX2
+#if BEATNIK_X86_SIMD
             if (simd) {
                 nh = cutoff_filter_avx2(v, c, ce, target, self, r2, hits, nh);
                 continue;
@@ -333,12 +319,7 @@ template <class Source>
 inline std::uint32_t br_cutoff_sweep(const search::CellView& v, const Source* sources,
                                      const Vec3& target, std::uint32_t self, double r2,
                                      double eps2, Vec3& sum) {
-#if BEATNIK_BR_SWEEP_AVX2
-    const bool simd = detail::br_sweep_has_avx2();
-#else
-    const bool simd = false;
-#endif
-    return detail::br_cutoff_sweep(v, sources, target, self, r2, eps2, sum, simd);
+    return detail::br_cutoff_sweep(v, sources, target, self, r2, eps2, sum, cpu_has_avx2());
 }
 
 class BRSolverBase {

@@ -149,9 +149,10 @@ private:
                      const StagePlan& plan);
 
     /// Butterflies along the stage's axis over every line of each of the
-    /// \p components arrays stacked in \p data.
+    /// \p components arrays stacked in \p data: one batched
+    /// SerialFFT1D::transform_many call per component.
     void transform_stage(std::vector<cplx>& data, const Stage& stage, bool inverse,
-                         int components) const;
+                         int components);
     /// Under enable_device, grow the stage-1 buffer's pinned allocation to
     /// hold \p components arrays before a reshape writes it.
     void reserve_stage1(int components);
@@ -176,6 +177,9 @@ private:
     // it (reserve_stage1).
     std::vector<cplx> work_;
     par::device::ScopedHostRegistration pinned_work_;
+    // Line-FFT planes, sized by the first transform and reused after
+    // (the shared plan_for() plans are const).
+    FFTScratch scratch_;
     bool device_ = false;
 };
 

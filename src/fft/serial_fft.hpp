@@ -8,9 +8,19 @@
 ///  * arbitrary n: Bluestein's chirp-z, which reduces the transform to a
 ///    cyclic convolution executed with the radix-2 kernel.
 ///
-/// Strided execution is supported so the distributed transform can run
-/// directly over mesh-ordered data when the `reorder` knob is off — the
-/// same contiguous-vs-strided tradeoff heFFTe's reorder option exposes.
+/// The entry point is batched, FFTW's plan_many layout: transform_many()
+/// takes `howmany` lines at a fixed element stride and line distance, so
+/// the distributed transform hands over a whole stage in one call and
+/// can run directly over mesh-ordered (strided) data when the `reorder`
+/// knob is off — the same contiguous-vs-strided tradeoff heFFTe's reorder
+/// option exposes. Lines run 4 at a time on AVX2 lanes when the CPU has
+/// them: each group is gathered (through the bit-reversal table) into
+/// split re/im planes with one line per lane, transformed, and scattered
+/// back. The rest run one at a time through the same template body, so
+/// every line gets the bits of the scalar std::complex loop whatever its
+/// lane. The planes live in a caller-owned FFTScratch: plans are shared
+/// read-only between rank threads (plan_for), and a scratch that is
+/// already large enough makes the call allocation-free.
 #pragma once
 
 #include <complex>
@@ -33,30 +43,40 @@ constexpr std::size_t next_pow2(std::size_t n) {
     return p;
 }
 
-/// Reusable plan for 1D transforms of a fixed length.
-///
-/// Normalization convention: forward() is unscaled; inverse() divides by n,
-/// so inverse(forward(x)) == x.
+/// Forward transforms are unscaled; inverse ones divide by n, so the
+/// inverse of the forward transform is the identity.
+enum class Direction { forward, inverse };
+
+/// Working planes of SerialFFT1D::transform_many. Empty until a transform
+/// sizes it; it then only grows, so a scratch kept across calls (one per
+/// rank thread) makes the steady state allocation-free.
+class FFTScratch {
+private:
+    friend class SerialFFT1D;
+    /// At least \p doubles values, 32-byte aligned.
+    double* planes(std::size_t doubles);
+    std::vector<double> buf_;
+};
+
+/// Reusable plan for 1D transforms of a fixed length. Const after
+/// construction, so one plan serves every thread.
 class SerialFFT1D {
 public:
     explicit SerialFFT1D(std::size_t n);
 
     [[nodiscard]] std::size_t size() const { return n_; }
 
-    /// Transform n contiguous values in place.
-    void forward(cplx* data) const { forward_strided(data, 1); }
-    void inverse(cplx* data) const { inverse_strided(data, 1); }
-
-    /// Transform n values at the given element stride in place.
-    void forward_strided(cplx* data, std::size_t stride) const;
-    void inverse_strided(cplx* data, std::size_t stride) const;
+    /// Transform \p howmany lines in place: line l holds the n values
+    /// data[l * dist + i * stride], i < n. Lines may interleave (stride
+    /// > 1, dist 1) but must not share elements.
+    void transform_many(cplx* data, std::size_t howmany, std::size_t stride, std::size_t dist,
+                        Direction dir, FFTScratch& scratch) const;
 
     /// Flop estimate for one transform (used by the netsim compute model).
     [[nodiscard]] double flops() const;
 
 private:
-    void radix2(cplx* data, std::size_t stride, bool inverse_sign) const;
-    void bluestein(cplx* data, std::size_t stride, bool inverse_sign) const;
+    struct Kernel; ///< the lane-generic transform body (serial_fft.cpp)
 
     std::size_t n_;
     bool pow2_;
@@ -69,7 +89,6 @@ private:
         std::vector<cplx> twiddle; ///< w[k] = exp(-2*pi*i*k/n), k < n/2
     };
     static Radix2Tables make_tables(std::size_t n);
-    static void radix2_core(const Radix2Tables& t, cplx* data, bool inverse_sign);
 
     Radix2Tables tables_;          ///< for n_ (pow2) or conv length (Bluestein)
     // Bluestein precomputation.

@@ -28,17 +28,12 @@ void run(int nranks, const std::function<void(bc::Communicator&)>& fn) {
 
 /// Serial reference 2D FFT via row-column decomposition on one rank.
 std::vector<cplx> serial_fft2d(std::vector<cplx> data, int n0, int n1, bool inverse) {
-    bf::SerialFFT1D p1(static_cast<std::size_t>(n1));
-    for (int i = 0; i < n0; ++i) {
-        cplx* row = data.data() + static_cast<std::ptrdiff_t>(i) * n1;
-        inverse ? p1.inverse(row) : p1.forward(row);
-    }
-    bf::SerialFFT1D p0(static_cast<std::size_t>(n0));
-    for (int j = 0; j < n1; ++j) {
-        cplx* col = data.data() + j;
-        inverse ? p0.inverse_strided(col, static_cast<std::size_t>(n1))
-                : p0.forward_strided(col, static_cast<std::size_t>(n1));
-    }
+    const auto dir = inverse ? bf::Direction::inverse : bf::Direction::forward;
+    const auto rows = static_cast<std::size_t>(n0);
+    const auto cols = static_cast<std::size_t>(n1);
+    bf::FFTScratch scratch;
+    bf::SerialFFT1D(cols).transform_many(data.data(), rows, 1, cols, dir, scratch);
+    bf::SerialFFT1D(rows).transform_many(data.data(), cols, cols, 1, dir, scratch);
     return data;
 }
 

@@ -1,12 +1,15 @@
 // Serial FFT kernel tests: correctness against a naive DFT, round trips,
-// Bluestein lengths, strided execution, Parseval's identity.
+// Bluestein lengths, strided execution, Parseval's identity, and the
+// batched lanes' bitwise contract with the scalar std::complex loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
 #include "base/rng.hpp"
+#include "fft/scalar_fft_oracle.hpp"
 #include "fft/serial_fft.hpp"
 #include "test_env.hpp"
 
@@ -38,6 +41,12 @@ std::vector<cplx> naive_dft(const std::vector<cplx>& x) {
     return out;
 }
 
+/// One contiguous line through the batched entry point.
+void transform(const bf::SerialFFT1D& plan, std::vector<cplx>& x, bf::Direction dir) {
+    bf::FFTScratch scratch;
+    plan.transform_many(x.data(), 1, 1, 0, dir, scratch);
+}
+
 double max_err(const std::vector<cplx>& a, const std::vector<cplx>& b) {
     double e = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) e = std::max(e, std::abs(a[i] - b[i]));
@@ -56,7 +65,7 @@ TEST_P(FFTLengths, MatchesNaiveDFT) {
     auto x = random_signal(n, 17);
     auto expected = naive_dft(x);
     bf::SerialFFT1D plan(n);
-    plan.forward(x.data());
+    transform(plan, x, bf::Direction::forward);
     EXPECT_LT(max_err(x, expected), 1e-9 * static_cast<double>(n)) << "n=" << n;
 }
 
@@ -65,8 +74,8 @@ TEST_P(FFTLengths, InverseRoundTripIsIdentity) {
     auto x = random_signal(n, 29);
     auto original = x;
     bf::SerialFFT1D plan(n);
-    plan.forward(x.data());
-    plan.inverse(x.data());
+    transform(plan, x, bf::Direction::forward);
+    transform(plan, x, bf::Direction::inverse);
     EXPECT_LT(max_err(x, original), 1e-10 * static_cast<double>(n + 1));
 }
 
@@ -76,7 +85,7 @@ TEST_P(FFTLengths, ParsevalHolds) {
     double time_energy = 0.0;
     for (const auto& v : x) time_energy += std::norm(v);
     bf::SerialFFT1D plan(n);
-    plan.forward(x.data());
+    transform(plan, x, bf::Direction::forward);
     double freq_energy = 0.0;
     for (const auto& v : x) freq_energy += std::norm(v);
     EXPECT_NEAR(freq_energy, time_energy * static_cast<double>(n),
@@ -92,7 +101,7 @@ TEST(SerialFFT, SingleToneLandsInSingleBin) {
         x[m] = {std::cos(angle), std::sin(angle)};
     }
     bf::SerialFFT1D plan(n);
-    plan.forward(x.data());
+    transform(plan, x, bf::Direction::forward);
     for (std::size_t k = 0; k < n; ++k) {
         if (k == mode) {
             EXPECT_NEAR(x[k].real(), static_cast<double>(n), 1e-9);
@@ -111,9 +120,9 @@ TEST(SerialFFT, LinearityProperty) {
     std::vector<cplx> combo(n);
     for (std::size_t i = 0; i < n; ++i) combo[i] = alpha * x[i] + y[i];
     bf::SerialFFT1D plan(n);
-    plan.forward(x.data());
-    plan.forward(y.data());
-    plan.forward(combo.data());
+    transform(plan, x, bf::Direction::forward);
+    transform(plan, y, bf::Direction::forward);
+    transform(plan, combo, bf::Direction::forward);
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_LT(std::abs(combo[i] - (alpha * x[i] + y[i])), 1e-8);
     }
@@ -127,8 +136,9 @@ TEST(SerialFFT, StridedMatchesContiguous) {
     for (std::size_t i = 0; i < n; ++i) strided[i * stride] = contiguous[i];
 
     bf::SerialFFT1D plan(n);
-    plan.forward(contiguous.data());
-    plan.forward_strided(strided.data(), stride);
+    bf::FFTScratch scratch;
+    transform(plan, contiguous, bf::Direction::forward);
+    plan.transform_many(strided.data(), 1, stride, 0, bf::Direction::forward, scratch);
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_LT(std::abs(strided[i * stride] - contiguous[i]), 1e-10);
         // Gaps untouched.
@@ -146,10 +156,51 @@ TEST(SerialFFT, StridedInverseRoundTrip) {
     for (auto& v : data) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
     auto original = data;
     bf::SerialFFT1D plan(n);
-    plan.forward_strided(data.data(), stride);
-    plan.inverse_strided(data.data(), stride);
+    bf::FFTScratch scratch;
+    plan.transform_many(data.data(), 1, stride, 0, bf::Direction::forward, scratch);
+    plan.transform_many(data.data(), 1, stride, 0, bf::Direction::inverse, scratch);
     for (std::size_t i = 0; i < n * stride; ++i) {
         EXPECT_LT(std::abs(data[i] - original[i]), 1e-10);
+    }
+}
+
+// Every line of a batch, whichever AVX2 lane or scalar tail ran it, has
+// the bits of the one-line std::complex loop it replaced: power-of-two
+// and Bluestein lengths, contiguous and strided lines (interleaved where
+// the stride leaves room, else in separate blocks), and every tail size
+// of a 4-line group.
+TEST(SerialFFT, BatchedLinesMatchScalarOracleBitwise) {
+    const std::size_t lengths[] = {1, 2, 4, 8, 128, 256, 3, 5, 96, 243};
+    const std::size_t strides[] = {1, 7, 64};
+    for (std::size_t n : lengths) {
+        bf::SerialFFT1D plan(n);
+        bf::oracle::ScalarFFT1D oracle(n);
+        bf::FFTScratch scratch;
+        for (std::size_t stride : strides) {
+            for (std::size_t howmany = 1; howmany <= 9; ++howmany) {
+                const std::size_t dist = howmany <= stride ? 1 : n * stride + 1;
+                const std::size_t len = (howmany - 1) * dist + (n - 1) * stride + 2;
+                for (bool inverse : {false, true}) {
+                    const auto data = random_signal(len, 61 + n + stride + howmany);
+                    auto got = data;
+                    plan.transform_many(got.data(), howmany, stride, dist,
+                                        inverse ? bf::Direction::inverse
+                                                : bf::Direction::forward,
+                                        scratch);
+                    auto want = data;
+                    for (std::size_t l = 0; l < howmany; ++l) {
+                        if (inverse) {
+                            oracle.inverse_strided(want.data() + l * dist, stride);
+                        } else {
+                            oracle.forward_strided(want.data() + l * dist, stride);
+                        }
+                    }
+                    ASSERT_EQ(std::memcmp(got.data(), want.data(), len * sizeof(cplx)), 0)
+                        << "n=" << n << " stride=" << stride << " howmany=" << howmany
+                        << (inverse ? " inverse" : " forward");
+                }
+            }
+        }
     }
 }
 
