@@ -1,22 +1,27 @@
 /// \file communicator.hpp
-/// \brief Rank group with point-to-point messaging and collectives.
+/// \brief Rank group with collectives over an internal message path.
 ///
 /// API mirrors the MPI communicator concept: a Communicator names a group
 /// of ranks, carries its own tag space, and provides the collective
 /// operations Beatnik needs (barrier, bcast, reduce, allreduce, gather,
-/// allgather(v), scatter, alltoall(v)). Collectives are implemented with
-/// the textbook distributed algorithms (binomial trees, recursive doubling,
-/// ring, Bruck, pairwise exchange) over the same point-to-point layer user
-/// code uses, so a message trace of a collective shows the real pattern an
-/// MPI library would issue.
+/// allgather(v), scatter, alltoall(v), scan). Collectives are implemented
+/// with the textbook distributed algorithms (binomial trees, recursive
+/// doubling, ring, Bruck, pairwise exchange) over an internal message
+/// path, so a message trace of a collective shows the real pattern an MPI
+/// library would issue.
 ///
-/// Message-path cost model: a send publishes its payload once into a
-/// shared immutable buffer (comm::Payload) and delivers only a handle to
-/// the destination mailbox. Receivers read the buffer in place through
-/// Message::view<T>() — the zero-copy path every collective below uses —
-/// or copy it out once via recv()/recv_bytes(). Tree and ring collectives
-/// (bcast, allgather) forward the *same* buffer hop to hop, so a broadcast
-/// to P ranks allocates one buffer total, not P.
+/// There is no public point-to-point send or receive. Fixed patterns —
+/// halo exchange, FFT reshapes, particle migration and the exact BR ring
+/// — run on persistent comm::Plan channels (comm/plan.hpp), the
+/// MPI_Send_init / MPI_Recv_init analogue: matched once at build,
+/// allocation-free per iteration.
+///
+/// Message-path cost model: a collective message is published once into
+/// a shared immutable buffer (comm::Payload), and only a handle is
+/// delivered to the destination mailbox. Receivers read the buffer in
+/// place through Message::view<T>(). Tree and ring collectives (bcast,
+/// allgather) forward the *same* buffer hop to hop, so a broadcast to P
+/// ranks allocates one buffer total, not P.
 ///
 /// Thread model: each rank-thread owns its own Communicator instance;
 /// instances referring to the same comm_id cooperate through the shared
@@ -25,14 +30,9 @@
 /// communicator in the same order (the usual MPI contract).
 #pragma once
 
-#include <chrono>
-#include <cstring>
-#include <functional>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <span>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -59,135 +59,6 @@ struct Message {
     }
 };
 
-/// Handle for a pending nonblocking operation with *real* nonblocking
-/// semantics: isend() completes immediately (sends are buffered), and
-/// irecv() eagerly matches at post time — a message already queued is
-/// consumed on the spot, and a later arrival can be picked up with test()
-/// without blocking, so computation can overlap in-flight messages.
-class Request {
-public:
-    Request() = default;
-
-    [[nodiscard]] bool valid() const {
-        return status_.has_value() || static_cast<bool>(wait_op_);
-    }
-    /// True once the operation has been observed complete.
-    [[nodiscard]] bool done() const { return status_.has_value(); }
-
-    /// Nonblocking completion attempt. Returns true (and fires the
-    /// completion callback, once) when the operation has completed.
-    bool test() {
-        if (status_) return true;
-        BEATNIK_REQUIRE(static_cast<bool>(try_op_), "test() on an empty Request");
-        if (auto s = try_op_()) {
-            finish(*s);
-            return true;
-        }
-        return false;
-    }
-
-    /// Block until the operation completes and return its status.
-    Status wait() {
-        if (!status_) {
-            BEATNIK_REQUIRE(static_cast<bool>(wait_op_), "wait() on an empty Request");
-            finish(wait_op_());
-        }
-        return *status_;
-    }
-
-    /// Status of a completed request.
-    [[nodiscard]] Status status() const {
-        BEATNIK_REQUIRE(status_.has_value(), "status() on an incomplete Request");
-        return *status_;
-    }
-
-    /// Register a completion callback, fired exactly once at the moment
-    /// completion is observed (inside test()/wait()/wait_any()). If the
-    /// request is already complete the callback fires immediately.
-    void on_complete(std::function<void(const Status&)> cb) {
-        if (status_) {
-            if (cb) cb(*status_);
-            return;
-        }
-        callback_ = std::move(cb);
-    }
-
-    static Request completed(Status s) {
-        Request r;
-        r.status_ = s;
-        return r;
-    }
-    /// A pending operation described by a nonblocking attempt and a
-    /// blocking fallback over the same state.
-    static Request pending(std::function<std::optional<Status>()> try_op,
-                           std::function<Status()> wait_op) {
-        Request r;
-        r.try_op_ = std::move(try_op);
-        r.wait_op_ = std::move(wait_op);
-        return r;
-    }
-
-private:
-    friend std::size_t wait_any(std::span<Request>);
-
-    void finish(Status s) {
-        status_ = s;
-        try_op_ = nullptr;
-        wait_op_ = nullptr;
-        if (callback_) {
-            auto cb = std::move(callback_);
-            callback_ = nullptr;
-            cb(*status_);
-        }
-    }
-
-    std::function<std::optional<Status>()> try_op_;
-    std::function<Status()> wait_op_;
-    std::function<void(const Status&)> callback_;
-    std::optional<Status> status_;
-    bool retired_ = false;   ///< already returned by wait_any()
-};
-
-/// Wait on every request in order. Order is irrelevant for correctness
-/// because message matching is done by (source, tag).
-inline void wait_all(std::span<Request> requests) {
-    for (auto& r : requests) {
-        if (r.valid()) r.wait();
-    }
-}
-
-/// Returned by wait_any() when no un-retired valid request remains.
-inline constexpr std::size_t wait_any_done = static_cast<std::size_t>(-1);
-
-/// Wait until *some* request completes and return its index, each index
-/// exactly once (a returned request is retired, like MPI_Waitany
-/// deactivating its slot). Like MPI_Waitany, no ordering among requests
-/// that are simultaneously ready is guaranteed — a request that completed
-/// while others are still in flight is returned without waiting for them.
-/// Completion is observed by polling test(); blocked polls back off to
-/// short sleeps. Rank failures unwind through the CommError the mailbox
-/// probe throws on context abort.
-inline std::size_t wait_any(std::span<Request> requests) {
-    for (int spin = 0;; ++spin) {
-        bool pending = false;
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            Request& r = requests[i];
-            if (r.retired_ || !r.valid()) continue;
-            if (r.test()) {
-                r.retired_ = true;
-                return i;
-            }
-            pending = true;
-        }
-        if (!pending) return wait_any_done;
-        if (spin < 256) {
-            std::this_thread::yield();
-        } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-    }
-}
-
 class Communicator {
 public:
     /// Constructed by Context::run (the world communicator) or by split().
@@ -205,107 +76,6 @@ public:
 
     void set_alltoall_algo(AlltoallAlgo a) { alltoall_algo_ = a; }
     [[nodiscard]] AlltoallAlgo alltoall_algo() const { return alltoall_algo_; }
-
-    // ------------------------------------------------------------------ p2p
-
-    /// Buffered send: publishes \p data once into a shared buffer, delivers
-    /// a handle to the destination mailbox, and returns immediately. Safe
-    /// to call in any order w.r.t. receives.
-    void send_bytes(std::span<const std::byte> data, int dest, int tag) {
-        check_peer(dest);
-        check_user_tag(tag);
-        post_bytes(data, dest, tag);
-    }
-
-    /// Blocking zero-copy receive: returns the matched message with its
-    /// payload aliased, never copied. Prefer this over recv()/recv_bytes()
-    /// when the data is only read (reductions, unpacking into a larger
-    /// buffer, forwarding).
-    [[nodiscard]] Message recv_msg(int src = any_source, int tag = any_tag) {
-        if (src != any_source) check_peer(src);
-        Envelope env = ctx_->mailbox(world_rank()).receive(comm_id_, src, tag);
-        return Message{Status{env.src, env.tag, env.payload.size()}, std::move(env.payload)};
-    }
-
-    /// Blocking receive into \p out (resized to the payload). One copy,
-    /// shared buffer -> caller's vector.
-    Status recv_bytes(std::vector<std::byte>& out, int src = any_source, int tag = any_tag) {
-        Message m = recv_msg(src, tag);
-        auto bytes = m.payload.bytes();
-        out.assign(bytes.begin(), bytes.end());
-        return m.status;
-    }
-
-    template <Transferable T>
-    void send(std::span<const T> data, int dest, int tag) {
-        send_bytes(std::as_bytes(data), dest, tag);
-    }
-
-    /// Receive a typed message; \p out is resized to the element count.
-    /// One copy, shared buffer -> caller's vector.
-    template <Transferable T>
-    Status recv(std::vector<T>& out, int src = any_source, int tag = any_tag) {
-        Message m = recv_msg(src, tag);
-        auto in = m.view<T>();
-        out.assign(in.begin(), in.end());
-        return m.status;
-    }
-
-    template <Transferable T>
-    void send_value(const T& value, int dest, int tag) {
-        send(std::span<const T>(&value, 1), dest, tag);
-    }
-
-    template <Transferable T>
-    T recv_value(int src = any_source, int tag = any_tag) {
-        Message m = recv_msg(src, tag);
-        BEATNIK_REQUIRE(m.status.bytes == sizeof(T), "recv_value: message is not a single element");
-        return m.view<T>().front();
-    }
-
-    template <Transferable T>
-    Request isend(std::span<const T> data, int dest, int tag) {
-        send(data, dest, tag);
-        return Request::completed(Status{rank_, tag, data.size_bytes()});
-    }
-
-    /// Nonblocking receive with eager matching: a message already queued
-    /// is consumed immediately; otherwise the returned Request picks it up
-    /// on test()/wait()/wait_any(). \p out must stay alive until the
-    /// request completes.
-    template <Transferable T>
-    Request irecv(std::vector<T>& out, int src = any_source, int tag = any_tag) {
-        if (src != any_source) check_peer(src);
-        auto take = [this, &out](Envelope& env) {
-            auto in = env.payload.view<T>();
-            out.assign(in.begin(), in.end());
-            return Status{env.src, env.tag, env.payload.size()};
-        };
-        Envelope env;
-        if (ctx_->mailbox(world_rank()).try_receive(comm_id_, src, tag, env)) {
-            return Request::completed(take(env));
-        }
-        return Request::pending(
-            [this, take, src, tag]() -> std::optional<Status> {
-                Envelope e;
-                if (!ctx_->mailbox(world_rank()).try_receive(comm_id_, src, tag, e)) {
-                    return std::nullopt;
-                }
-                return take(e);
-            },
-            [this, take, src, tag] {
-                Envelope e = ctx_->mailbox(world_rank()).receive(comm_id_, src, tag);
-                return take(e);
-            });
-    }
-
-    /// Exchange with a partner without deadlock (sends are buffered).
-    template <Transferable T>
-    Status sendrecv(std::span<const T> send_data, int dest, std::vector<T>& recv_data, int src,
-                    int tag) {
-        send(send_data, dest, tag);
-        return recv<T>(recv_data, src, tag);
-    }
 
     // ----------------------------------------------------------- collectives
 
@@ -857,7 +627,6 @@ public:
     [[nodiscard]] int comm_id() const { return comm_id_; }
 
 private:
-    static constexpr int kUserTagLimit = tags::user_limit;
     static constexpr int kTagBarrier = 0;
     static constexpr int kTagBcast = 1;
     static constexpr int kTagReduce = 2;
@@ -890,9 +659,6 @@ private:
         plancheck::ContextState* cs = &ctx_->plancheck_state();
         return cs->active() ? cs : nullptr;
     }
-    static void check_user_tag(int tag) {
-        BEATNIK_REQUIRE(tag >= 0 && tag < kUserTagLimit, "user tag out of range");
-    }
 
     /// Collectives consume a per-communicator sequence number so that
     /// back-to-back collectives never confuse each other's messages.
@@ -911,8 +677,16 @@ private:
         return tags::collective_base + collective_seq_++ * kNumCollectiveKinds + kind;
     }
 
-    /// Internal typed send used by collectives: same delivery path as
-    /// send(), but allowed to use tags above the user-tag limit.
+    /// Blocking zero-copy receive: returns the matched message with its
+    /// payload aliased, never copied. \p tag is always a concrete
+    /// collective tag; \p src may be any_source (gatherv, linear alltoall).
+    [[nodiscard]] Message recv_msg(int src, int tag) {
+        if (src != any_source) check_peer(src);
+        Envelope env = ctx_->mailbox(world_rank()).receive(comm_id_, src, tag);
+        return Message{Status{env.src, env.tag, env.payload.size()}, std::move(env.payload)};
+    }
+
+    /// Typed send of a collective message: one copy into a shared buffer.
     template <Transferable T>
     void post_typed(std::span<const T> data, int dest, int tag) {
         check_peer(dest);

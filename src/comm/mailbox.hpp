@@ -35,11 +35,11 @@ struct Envelope {
 /// Matching is indexed, not scanned: each communicator gets a bucket with
 /// its own lock, and inside a bucket messages sit in dedicated FIFO queues
 /// keyed by (src, tag). An exact-match receive is a hash lookup + pop.
-/// Wildcard receives (any_source / any_tag) compare the arrival stamps of
-/// the matching queue heads and take the earliest-delivered message, which
-/// preserves both the MPI non-overtaking guarantee per (src, tag) pair and
-/// the arrival-order semantics wildcards had under the old linear scan —
-/// at O(live (src,tag) pairs) instead of O(pending messages).
+/// Tags are always concrete (every receiver is a collective with its own
+/// sequence tag); an any_source receive compares the arrival stamps of the
+/// queue heads with that tag and takes the earliest-delivered message,
+/// which keeps the MPI non-overtaking guarantee per (src, tag) pair at
+/// O(live (src,tag) pairs) instead of O(pending messages).
 ///
 /// Each mailbox has exactly one receiver (the owning rank-thread), so
 /// deliver() uses notify_one. The mailbox also observes a context-wide
@@ -66,7 +66,7 @@ public:
     }
 
     /// Block until a message matching (comm_id, src, tag) is available and
-    /// return it. \p src may be any_source and \p tag may be any_tag.
+    /// return it. \p src may be any_source.
     /// Throws CommError on context abort or receive timeout.
     Envelope receive(int comm_id, int src, int tag) {
         Bucket& b = bucket(comm_id);
@@ -87,18 +87,6 @@ public:
                     " tag=" + std::to_string(tag));
             }
         }
-    }
-
-    /// Non-blocking probe-and-take. Returns false if no matching message
-    /// is currently queued. Throws CommError on context abort so that
-    /// polling loops (Request::test, wait_any) unwind when a rank fails.
-    bool try_receive(int comm_id, int src, int tag, Envelope& out) {
-        if (abort_.load(std::memory_order_acquire)) {
-            throw CommError("receive aborted: another rank failed");
-        }
-        Bucket& b = bucket(comm_id);
-        std::lock_guard lock(b.mutex);
-        return take_match(b, src, tag, out);
     }
 
     /// Wake all waiters (used on context abort).
@@ -147,7 +135,7 @@ private:
         mutable std::mutex mutex;
         std::condition_variable cv;
         std::unordered_map<MatchKey, std::deque<Envelope>, MatchKeyHash> queues;
-        std::uint64_t next_seq = 0;   ///< Arrival stamps for wildcard ordering.
+        std::uint64_t next_seq = 0;   ///< Arrival stamps for any_source ordering.
         std::size_t count = 0;        ///< Total queued envelopes.
     };
 
@@ -161,8 +149,8 @@ private:
     }
 
     /// Pop the matching envelope with the lowest arrival stamp, if any.
-    /// Caller holds b.mutex. Emptied queues are erased so the wildcard scan
-    /// only ever visits live (src, tag) pairs.
+    /// Caller holds b.mutex. Emptied queues are erased so the any_source
+    /// scan only ever visits live (src, tag) pairs.
     static bool take_match(Bucket& b, int src, int tag, Envelope& out) {
         auto pop_front = [&](auto it) {
             out = std::move(it->second.front());
@@ -171,14 +159,13 @@ private:
             --b.count;
             return true;
         };
-        if (src != any_source && tag != any_tag) {
+        if (src != any_source) {
             auto it = b.queues.find(MatchKey{src, tag});
             return it != b.queues.end() && pop_front(it);
         }
         auto best = b.queues.end();
         for (auto it = b.queues.begin(); it != b.queues.end(); ++it) {
-            if (src != any_source && it->first.src != src) continue;
-            if (tag != any_tag && it->first.tag != tag) continue;
+            if (it->first.tag != tag) continue;
             if (best == b.queues.end() ||
                 it->second.front().seq < best->second.front().seq) {
                 best = it;

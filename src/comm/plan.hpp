@@ -4,11 +4,11 @@
 ///
 /// A comm::Plan is the MPI persistent-request / neighborhood-collective
 /// analogue for patterns whose (peer, tag, max_bytes) schedule is fixed —
-/// halo exchanges, particle migration, FFT reshapes. The builder registers
-/// every send and recv slot up front; matching happens exactly once, at
-/// build time, when both endpoints resolve the same PlanChannel in the
-/// context's ChannelRegistry (comm/channel.hpp). After that, an iteration
-/// is:
+/// halo exchanges, particle migration, FFT reshapes, the exact BR ring.
+/// The builder registers every send and recv slot up front; matching
+/// happens exactly once, at build time, when both endpoints resolve the
+/// same PlanChannel in the context's ChannelRegistry (comm/channel.hpp).
+/// After that, an iteration is:
 ///
 ///   plan.start();                                  // open the iteration
 ///   auto buf = plan.send_buffer(s, nbytes);        // acquire slot buffer
@@ -23,8 +23,7 @@
 /// steady-state start()/publish()/wait() touch only pre-allocated state
 /// (verified by a counting-allocator test). Receives complete in arrival
 /// order through a per-plan ready ring, so unpacking one message overlaps
-/// the delivery of the rest — the "real nonblocking" semantics the
-/// mailbox-path irecv() approximates by polling.
+/// the delivery of the rest.
 ///
 /// Plans must be built collectively (every rank builds the matching plan)
 /// and iterations are collective in the usual loose sense: every

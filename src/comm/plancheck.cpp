@@ -27,8 +27,7 @@ int init_from_env() noexcept {
 namespace {
 
 [[nodiscard]] const char* band_name(int tag) {
-    if (tag < 0) return "wildcard";
-    if (tag < tags::user_limit) return "user";
+    if (tag < tags::user_limit) return "unused";
     if (tag >= tags::halo_base && tag < tags::halo_limit) return "plan-halo";
     if (tag >= tags::plan_seq_base && tag < tags::plan_limit) return "plan-seq";
     return "collective";

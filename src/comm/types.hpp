@@ -17,24 +17,27 @@ namespace beatnik::comm {
 
 /// Wildcard source rank for receives (matches any sender).
 inline constexpr int any_source = -1;
-/// Wildcard tag for receives (matches any tag).
-inline constexpr int any_tag = -1;
 
 /// Tag-space layout. The int tag space is split into three disjoint bands
-/// so the three kinds of traffic provably cannot collide:
+/// so the kinds of traffic provably cannot collide:
 ///
-///   [0, user_limit)                  caller-owned point-to-point tags
+///   [0, user_limit)                  unused
 ///   [plan_base, plan_limit)          persistent comm::Plan channels
 ///   [collective_base, INT_MAX]       per-communicator collective sequence
+///
+/// The lowest band once held caller-owned point-to-point tags. Nothing
+/// sends there now — plans reject its tags and collectives draw theirs
+/// from the sequence band — but the boundaries keep their numbers, since
+/// channels persist in the registry keyed by tag.
 ///
 /// The plan band is further subdivided: a fixed-tag sub-band with a
 /// (direction, stream) encoding (tags::halo), whose channels persist
 /// across plan rebuilds, and the per-communicator plan sequence that the
-/// halo, reshape and migrate plans draw fresh tags from
+/// halo, reshape, migrate and exact-BR ring plans draw fresh tags from
 /// (Communicator::new_plan_tag, allocated in collective build order).
 namespace tags {
 
-/// User p2p tags live in [0, user_limit).
+/// The unused band [0, user_limit).
 inline constexpr int user_limit = 1 << 24;
 
 /// Persistent-plan channels live in [plan_base, plan_limit).
@@ -46,7 +49,7 @@ inline constexpr int halo_base = plan_base;
 inline constexpr int halo_max_streams = 1 << 16;
 inline constexpr int halo_limit = halo_base + halo_max_streams * 16;
 
-/// Sequence-allocated plan tags (halo, reshape, migrate, user plans).
+/// Sequence-allocated plan tags (halo, reshape, migrate, ring, user plans).
 inline constexpr int plan_seq_base = halo_limit;
 inline constexpr int plan_seq_count = plan_limit - plan_seq_base;
 
@@ -85,7 +88,7 @@ static_assert(collective_base < std::numeric_limits<int>::max());
 /// Outcome of a completed receive.
 struct Status {
     int source = any_source;      ///< Rank (within the communicator) that sent the message.
-    int tag = any_tag;            ///< Tag the message was sent with.
+    int tag = -1;                 ///< Tag the message was sent with.
     std::size_t bytes = 0;        ///< Payload size in bytes.
 };
 
@@ -178,8 +181,8 @@ struct LogicalOr {
 /// number and size of point-to-point messages — exactly the effect the
 /// paper's heFFTe `AllToAll` knob (Table 1 / Fig. 9) exposes.
 enum class AlltoallAlgo {
-    pairwise,   ///< P-1 rounds of ring-offset sendrecv (large-message friendly).
-    linear,     ///< post all isends/irecvs, then wait (what heFFTe's p2p path does).
+    pairwise,   ///< P-1 rounds of ring-offset send + receive (large-message friendly).
+    linear,     ///< post every send, then drain receives (what heFFTe's p2p path does).
     bruck,      ///< log2(P) rounds with message aggregation (small-message friendly).
 };
 

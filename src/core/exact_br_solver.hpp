@@ -4,10 +4,18 @@
 ///
 /// Every rank's target points interact with every surface point. Source
 /// blocks circulate around a rank ring: at each of the P steps a rank
-/// computes forces between its targets and the currently held source
-/// block while (logically) forwarding the block to its right neighbor —
-/// the classic systolic all-pairs schedule. O(N^2) compute; regular,
-/// bandwidth-heavy communication; compute-bound in practice (paper §3.2).
+/// forwards the block it holds to its right neighbor, computes forces
+/// between its targets and that block, then takes the next block from
+/// its left neighbor — the classic systolic all-pairs schedule. O(N^2)
+/// compute; regular, bandwidth-heavy communication; compute-bound in
+/// practice (paper §3.2).
+///
+/// The ring runs on one persistent comm::Plan built at the first
+/// evaluation: a send slot to the right and a recv slot from the left,
+/// bound at the largest rank's block size — the MPI_Send_init /
+/// MPI_Recv_init analogue of the paper's MPI ring. Each step packs the
+/// block straight into the channel buffer and copies the arrival back
+/// out, so a steady-state evaluation never allocates.
 ///
 /// The staging buffers (targets, circulating block, accumulators) are
 /// persistent members. On a device-resident state they are pinned and the
@@ -18,8 +26,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstring>
 #include <numbers>
 
+#include "comm/plan.hpp"
 #include "core/br_solver.hpp"
 #include "par/par.hpp"
 
@@ -48,9 +58,6 @@ public:
             pm.device_resident() && gamma.device_mirrored() && velocity.device_mirrored();
 
         ensure_buffers(comm, n_own, device, device ? &pm.device_queue() : nullptr);
-        // The ring pass leaves an arbitrary peer's block behind; restore
-        // the local size (within reserved capacity — never reallocates).
-        block_.resize(n_own);
 
         // Pack targets once; the same layout doubles as the first source
         // block.
@@ -90,16 +97,11 @@ public:
         }
 
         const int p = comm.size();
-        const int right = (comm.rank() + 1) % p;
-        const int left = (comm.rank() - 1 + p) % p;
-        constexpr int kRingTag = 100;
         std::size_t count = n_own;
         for (int step = 0; step < p; ++step) {
-            // Forward the block first (buffered send) so communication
-            // overlaps the local interaction sweep, as in the paper.
-            if (step + 1 < p) {
-                comm.send(std::span<const SourcePoint>(block_.data(), count), right, kRingTag);
-            }
+            // Forward the block first so the transfer overlaps the local
+            // interaction sweep, as in the paper.
+            if (step + 1 < p) send_block(count);
             const SourcePoint* bp = block_.data();
             const std::size_t bn = count;
             const Vec3* tp = targets_.data();
@@ -110,11 +112,7 @@ public:
                 const std::size_t t = b * kBrSweepLanes;
                 br_sweep(tp + t, std::min(kBrSweepLanes, n_own - t), bp, bn, eps2, ap + t);
             });
-            if (step + 1 < p) {
-                comm.recv<SourcePoint>(incoming_, left, kRingTag);
-                count = incoming_.size();
-                block_.swap(incoming_);
-            }
+            if (step + 1 < p) count = receive_block();
         }
 
         const double prefactor = mesh_->cell_area() / (4.0 * std::numbers::pi);
@@ -148,42 +146,76 @@ public:
 private:
     static double square(double v) { return v * v; }
 
-    /// Size the persistent staging once. Blocks arriving around the ring
-    /// can be as large as the biggest rank's owned count, so the block
-    /// buffers reserve the global maximum up front — receives then resize
-    /// within capacity and the pinned registration stays valid.
+    /// Size the persistent staging and build the ring plan once, at the
+    /// same point on every rank. Blocks arriving around the ring can be as
+    /// large as the biggest rank's owned count, so the block buffer and
+    /// both ring channels are sized to the global maximum up front — the
+    /// pinned registration stays valid and no step ever grows a buffer.
     void ensure_buffers(comm::Communicator& comm, std::size_t n_own, bool device,
                         par::device::Queue* q) {
         if (device) queue_ = q;
         if (buffers_ready_) return;
         const auto max_n = static_cast<std::size_t>(
             comm.allreduce_value(static_cast<double>(n_own), comm::op::Max{}));
-        block_.reserve(max_n);
-        incoming_.reserve(max_n);
-        block_.resize(n_own);
-        incoming_.resize(max_n);
+        block_.resize(max_n);
         targets_.resize(n_own);
         accum_.resize(n_own);
         if (device) {
             pinned_.emplace_back(std::span<const std::byte>(
                 reinterpret_cast<const std::byte*>(block_.data()), max_n * sizeof(SourcePoint)));
-            pinned_.emplace_back(std::span<const std::byte>(
-                reinterpret_cast<const std::byte*>(incoming_.data()),
-                max_n * sizeof(SourcePoint)));
             pinned_.emplace_back(std::span<const Vec3>(targets_.data(), targets_.size()));
             pinned_.emplace_back(std::span<const Vec3>(accum_.data(), accum_.size()));
+        }
+        const int p = comm.size();
+        if (p > 1) {
+            const int tag = comm.new_plan_tag();
+            const std::size_t cap = max_n * sizeof(SourcePoint);
+            auto b = comm::Plan::builder(comm);
+            (void)b.add_send((comm.rank() + 1) % p, tag, cap);
+            (void)b.add_recv((comm.rank() - 1 + p) % p, tag, cap);
+            ring_ = b.build();
         }
         buffers_ready_ = true;
     }
 
+    /// Publish the first \p count points of the held block to the right
+    /// neighbor. Blocks until that neighbor has released the previous
+    /// step's block.
+    void send_block(std::size_t count) {
+        namespace dc = par::device::devcheck;
+        ring_.start();
+        auto buf = ring_.send_buffer(0, count * sizeof(SourcePoint));
+        dc::channel_send_acquire(buf.data());
+        if (count > 0) std::memcpy(buf.data(), block_.data(), buf.size());
+        dc::channel_publish(buf.data(), "exact BR ring publish");
+        ring_.publish(0);
+    }
+
+    /// Copy the left neighbor's block into the held block and return its
+    /// point count. The slot is released before this rank's next send, so
+    /// no rank holds a received block while it waits on its own send slot
+    /// and the ring has no wait cycle.
+    std::size_t receive_block() {
+        namespace dc = par::device::devcheck;
+        const int s = ring_.wait_any_recv();
+        BEATNIK_ASSERT(s == 0);
+        auto in = ring_.recv_view_as<SourcePoint>(s);
+        dc::channel_recv_acquire(in.data(), "exact BR ring recv");
+        std::copy(in.begin(), in.end(), block_.begin());
+        dc::channel_release(in.data(), "exact BR ring release");
+        ring_.release_recv(s);
+        return in.size();
+    }
+
     const SurfaceMesh* mesh_;
     double eps2_;
-    // Persistent staging (pinned under device residency).
+    // Persistent staging (pinned under device residency). block_ holds
+    // the largest rank's block; a step uses its first `count` points.
     std::vector<SourcePoint> block_;
-    std::vector<SourcePoint> incoming_;
     std::vector<Vec3> targets_;
     std::vector<Vec3> accum_;
     std::vector<par::device::ScopedHostRegistration> pinned_;
+    comm::Plan ring_;   ///< right send / left recv; invalid on one rank
     par::device::Queue* queue_ = nullptr;
     bool buffers_ready_ = false;
 };

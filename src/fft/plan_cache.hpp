@@ -36,7 +36,6 @@ struct P2PPlanCache {
     std::vector<std::pair<int, std::size_t>> send_slots;  ///< (slot, sends index)
     std::vector<std::pair<int, std::size_t>> recv_slots;  ///< (slot, recvs index)
     std::size_t components = 0;   ///< components per rectangle the slots hold
-    std::vector<cplx> self_buf;                           ///< self-rectangle staging
     /// Device staging mode (ReshapePlan::enable_device): transport
     /// buffers are pinned at bind and pack/unpack run as kernels on this
     /// queue, each send publishing on its own completion event.
@@ -106,16 +105,16 @@ struct P2PPlanCache {
 
     /// One p2p reshape sweep of \p ncomp components per rectangle: bind
     /// if needed, pack each off-rank rectangle straight into its transport
-    /// slot and publish, copy the self rectangle locally, then unpack
-    /// arrivals in completion order, releasing each slot as soon as it is
-    /// consumed. The pack/unpack callables carry the source and
+    /// slot and publish, copy the self rectangle directly from input to
+    /// output, then unpack arrivals in completion order, releasing each
+    /// slot as soon as it is consumed. The callables carry the source and
     /// destination layouts and handle all components of a rectangle:
-    ///   pack_into(box, cplx* dst), pack_self(box, std::vector<cplx>&),
+    ///   pack_into(box, cplx* dst), copy_self(box),
     ///   unpack(box, std::span<const cplx>).
-    template <class PackInto, class PackSelf, class Unpack>
+    template <class PackInto, class CopySelf, class Unpack>
     void execute(comm::Communicator& c, const std::vector<Transfer>& sends,
                  const std::vector<Transfer>& recvs, std::size_t ncomp, PackInto&& pack_into,
-                 PackSelf&& pack_self, Unpack&& unpack, const char* size_error) {
+                 CopySelf&& copy_self, Unpack&& unpack, const char* size_error) {
         namespace dc = par::device::devcheck;
         bind(c, sends, recvs, ncomp);
         plan->start();
@@ -129,10 +128,7 @@ struct P2PPlanCache {
         }
         // Self rectangle never leaves the rank.
         for (const auto& t : recvs) {
-            if (t.peer != c.rank()) continue;
-            self_buf.clear();
-            pack_self(t.box, self_buf);
-            unpack(t.box, std::span<const cplx>(self_buf.data(), self_buf.size()));
+            if (t.peer == c.rank()) copy_self(t.box);
         }
         for (std::size_t done = 0; done < recv_slots.size(); ++done) {
             int s = plan->wait_any_recv();

@@ -142,6 +142,30 @@ private:
         }
     }
 
+    /// Copy a rectangle of each of the \p n components straight from
+    /// layout \p src of \p in to layout \p dst of \p out: the self
+    /// rectangle of a host p2p sweep, which never touches a wire buffer.
+    static void copy_box(const Layout2D& src, std::span<const cplx> in, const Layout2D& dst,
+                         std::vector<cplx>& out, const Box2D& box, std::size_t n) {
+        const std::size_t row = static_cast<std::size_t>(box.j.extent());
+        for (std::size_t c = 0; c < n; ++c) {
+            const cplx* from = in.data() + c * src.size();
+            cplx* to = out.data() + c * dst.size();
+            if (src.fast_axis == 1 && dst.fast_axis == 1) {
+                for (int i = box.i.begin; i < box.i.end; ++i) {
+                    std::copy_n(from + src.offset(i, box.j.begin), row,
+                                to + dst.offset(i, box.j.begin));
+                }
+                continue;
+            }
+            for (int i = box.i.begin; i < box.i.end; ++i) {
+                for (int j = box.j.begin; j < box.j.end; ++j) {
+                    to[dst.offset(i, j)] = from[src.offset(i, j)];
+                }
+            }
+        }
+    }
+
     /// Inverse of pack_into: \p n components of wire-order \p buf into
     /// layout \p dst of \p out.
     static void unpack(const Layout2D& dst, std::vector<cplx>& out, const Box2D& box,
@@ -206,7 +230,7 @@ private:
         p2p_->execute(
             comm, sends_, recvs_, n,
             [&](const Box2D& box, cplx* slot) { pack_into(src, in, box, n, slot); },
-            [&](const Box2D& box, std::vector<cplx>& buf) { pack(src, in, box, n, buf); },
+            [&](const Box2D& box) { copy_box(src, in, dst, out, box, n); },
             [&](const Box2D& box, std::span<const cplx> data) { unpack(dst, out, box, n, data); },
             "reshape: unexpected p2p block size");
     }

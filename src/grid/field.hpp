@@ -103,22 +103,6 @@ public:
         for (int c = 0; c < C; ++c) (*this)(i, j, c) = from(i, j, c);
     }
 
-    /// Pack an index rectangle (all components) into \p out, row-major.
-    void pack(const IndexSpace2D& space, std::vector<T>& out) const {
-        out.clear();
-        out.reserve(space.size() * C);
-        for (int i = space.i.begin; i < space.i.end; ++i) {
-            for (int j = space.j.begin; j < space.j.end; ++j) {
-                for (int c = 0; c < C; ++c) out.push_back((*this)(i, j, c));
-            }
-        }
-    }
-
-    /// Unpack a buffer previously produced by pack() for \p space.
-    void unpack(const IndexSpace2D& space, const std::vector<T>& in) {
-        unpack_from(space, std::span<const T>(in.data(), in.size()));
-    }
-
     /// Pack an index rectangle directly into caller-provided storage of
     /// exactly space.size() * C elements (the persistent-plan transport
     /// buffer) — no staging vector, no allocation. Storage is (j, c)-
@@ -135,7 +119,7 @@ public:
         }
     }
 
-    /// Unpack a span previously produced by pack()/pack_into() for \p space.
+    /// Unpack a span previously produced by pack_into() for \p space.
     void unpack_from(const IndexSpace2D& space, std::span<const T> in) {
         BEATNIK_REQUIRE(in.size() == space.size() * C, "unpack: buffer size mismatch");
         if (space.size() == 0) return;

@@ -1,5 +1,5 @@
 // Persistent-plan API tests: build-once/execute-many correctness, real
-// nonblocking semantics (test / wait_any / completion callbacks,
+// nonblocking semantics (test / wait_any_recv / completion callbacks,
 // out-of-order arrival), reserved tag bands, and the zero-allocation
 // guarantee of the steady-state start()/publish()/wait() path (verified
 // with a per-thread counting global allocator — this TU replaces
@@ -89,19 +89,6 @@ TEST(TagBands, BoundariesArePinned) {
     EXPECT_LT(bc::tags::halo(7, bc::tags::halo_max_streams - 1), bc::tags::plan_seq(0));
 }
 
-TEST(TagBands, UserSendsRejectReservedBands) {
-    run(2, [](bc::Communicator& comm) {
-        std::vector<int> v{1};
-        // Plan band and collective band are both off-limits to user p2p.
-        EXPECT_THROW(comm.send(std::span<const int>(v), comm.rank(), bc::tags::plan_base),
-                     beatnik::Error);
-        EXPECT_THROW(comm.send(std::span<const int>(v), comm.rank(), bc::tags::halo(3, 2)),
-                     beatnik::Error);
-        EXPECT_THROW(comm.send(std::span<const int>(v), comm.rank(), bc::tags::collective_base),
-                     beatnik::Error);
-    });
-}
-
 TEST(TagBands, PlanBuilderRejectsNonPlanTags) {
     run(1, [](bc::Communicator& comm) {
         auto b = bc::Plan::builder(comm);
@@ -112,18 +99,9 @@ TEST(TagBands, PlanBuilderRejectsNonPlanTags) {
 
 // ------------------------------------------------------------ plan basics
 
-/// Reference exchange over the classic mailbox path with user tags —
-/// deliberately independent of the plan machinery.
-std::vector<double> reference_ring_exchange(bc::Communicator& comm,
-                                            const std::vector<double>& mine, int iter) {
-    const int p = comm.size();
-    int right = (comm.rank() + 1) % p;
-    int left = (comm.rank() - 1 + p) % p;
-    comm.send(std::span<const double>(mine), right, 100 + (iter % 100));
-    std::vector<double> got;
-    comm.recv<double>(got, left, 100 + (iter % 100));
-    return got;
-}
+/// The value rank \p r packs at element \p i of iteration \p iter — the
+/// oracle needs no communication: a ring receive holds the left rank's.
+double ring_value(int r, int iter, std::size_t i) { return r * 1000.0 + iter + i * 0.25; }
 
 TEST(Plan, RingReuse100IterationsMatchesReference) {
     run(4, [](bc::Communicator& comm) {
@@ -136,21 +114,19 @@ TEST(Plan, RingReuse100IterationsMatchesReference) {
         int snd = b.add_send(right, tag, n * sizeof(double));
         int rcv = b.add_recv(left, tag, n * sizeof(double));
         auto plan = b.build();
-        std::vector<double> mine(n);
+        std::vector<double> mine(n), expect(n);
         for (int iter = 0; iter < 100; ++iter) {
             for (std::size_t i = 0; i < n; ++i) {
-                mine[i] = comm.rank() * 1000.0 + iter + i * 0.25;
+                mine[i] = ring_value(comm.rank(), iter, i);
+                expect[i] = ring_value(left, iter, i);
             }
-            // Plan path.
             plan.start();
             auto buf = plan.send_buffer(snd, n * sizeof(double));
             std::memcpy(buf.data(), mine.data(), n * sizeof(double));
             plan.publish(snd);
             ASSERT_EQ(plan.wait_any_recv(), rcv);
             auto got = plan.recv_view_as<double>(rcv);
-            // Reference path (message-passing, independently matched).
-            auto expect = reference_ring_exchange(comm, mine, iter);
-            ASSERT_EQ(got.size(), expect.size());
+            ASSERT_EQ(got.size(), n);
             EXPECT_TRUE(std::memcmp(got.data(), expect.data(), n * sizeof(double)) == 0)
                 << "iteration " << iter;
             plan.release_recv(rcv);
@@ -207,9 +183,10 @@ TEST(Plan, ChannelsGrowToHighWaterMark) {
 }
 
 TEST(Plan, OutOfOrderArrivalCompletesInArrivalOrder) {
-    // Rank 0 receives from ranks 1 and 2. Rank 2's message is forced to
-    // arrive first: rank 1 waits for a token from rank 2 that rank 2 only
-    // sends after publishing to rank 0.
+    // Rank 0 receives from ranks 1 and 2. Rank 1 publishes only after a
+    // 3-rank barrier that rank 0 enters once it has taken rank 2's
+    // message, so rank 2's message arrives first even when both senders
+    // publish before rank 0's plan attaches.
     run(3, [](bc::Communicator& comm) {
         if (comm.rank() == 0) {
             auto b = bc::Plan::builder(comm);
@@ -221,32 +198,24 @@ TEST(Plan, OutOfOrderArrivalCompletesInArrivalOrder) {
             int first = plan.wait_any_recv();
             EXPECT_EQ(first, from2);
             EXPECT_EQ(plan.recv_view_as<int>(from2)[0], 222);
+            comm.barrier();   // releases rank 1's publish
             int second = plan.wait_any_recv();
             EXPECT_EQ(second, from1);
             EXPECT_EQ(plan.recv_view_as<int>(from1)[0], 111);
             EXPECT_EQ(plan.wait_any_recv(), -1);
         } else {
             auto b = bc::Plan::builder(comm);
+            // Keep the plan-tag sequence lockstep: rank 0 drew one tag too.
             const int tag = comm.new_plan_tag();
             int snd = b.add_send(0, tag, sizeof(int));
             auto plan = b.build();
-            // Keep the plan-tag sequence lockstep: rank 0 drew one tag too.
-            if (comm.rank() == 1) {
-                int token = comm.recv_value<int>(2, 9);
-                EXPECT_EQ(token, 1);
-                plan.start();
-                auto buf = plan.send_buffer(snd, sizeof(int));
-                int v = 111;
-                std::memcpy(buf.data(), &v, sizeof(int));
-                plan.publish(snd);
-            } else {
-                plan.start();
-                auto buf = plan.send_buffer(snd, sizeof(int));
-                int v = 222;
-                std::memcpy(buf.data(), &v, sizeof(int));
-                plan.publish(snd);
-                comm.send_value(1, 1, 9);
-            }
+            if (comm.rank() == 1) comm.barrier();
+            plan.start();
+            auto buf = plan.send_buffer(snd, sizeof(int));
+            int v = comm.rank() == 1 ? 111 : 222;
+            std::memcpy(buf.data(), &v, sizeof(int));
+            plan.publish(snd);
+            if (comm.rank() == 2) comm.barrier();
             plan.wait();
         }
     });
@@ -372,13 +341,11 @@ TEST(Plan, TestIsNonBlockingAndEventuallyCompletes) {
         auto plan = b.build();
         plan.start();
         if (comm.rank() == 1) {
-            // Nothing can have been sent yet (rank 0 waits for our token
-            // before publishing): test() must return false, not block.
+            // Nothing can have been sent yet (rank 0 publishes only after
+            // the barrier below): test() must return false, not block.
             EXPECT_FALSE(plan.test());
-            comm.send_value(1, 0, 6);
-        } else {
-            EXPECT_EQ(comm.recv_value<int>(1, 6), 1);
         }
+        comm.barrier();
         auto buf = plan.send_buffer(snd, sizeof(int));
         int v = comm.rank() * 7;
         std::memcpy(buf.data(), &v, sizeof(int));
@@ -513,104 +480,6 @@ TEST(Plan, SteadyStateIterationsAreAllocationFree) {
         EXPECT_EQ(deltas[static_cast<std::size_t>(r)], 0u)
             << "rank " << r << " allocated on the plan hot path";
     }
-}
-
-// --------------------------------------------- Request: test / wait_any
-
-TEST(Request, IrecvEagerlyMatchesQueuedMessage) {
-    run(1, [](bc::Communicator& comm) {
-        comm.send_value(42, 0, 5);
-        std::vector<int> out;
-        auto req = comm.irecv<int>(out, 0, 5);
-        // The message was already queued: irecv consumed it at post time.
-        EXPECT_TRUE(req.done());
-        EXPECT_EQ(out, (std::vector<int>{42}));
-        EXPECT_EQ(req.wait().tag, 5);
-    });
-}
-
-TEST(Request, TestPollsWithoutBlocking) {
-    run(2, [](bc::Communicator& comm) {
-        if (comm.rank() == 0) {
-            std::vector<int> out;
-            auto req = comm.irecv<int>(out, 1, 3);
-            EXPECT_FALSE(req.done());
-            // Poll until completion; test() must never block.
-            while (!req.test()) std::this_thread::yield();
-            EXPECT_EQ(out, (std::vector<int>{99}));
-        } else {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            comm.send_value(99, 0, 3);
-        }
-    });
-}
-
-TEST(Request, OnCompleteFiresExactlyOnce) {
-    run(2, [](bc::Communicator& comm) {
-        if (comm.rank() == 0) {
-            std::vector<int> out;
-            int fired = 0;
-            auto req = comm.irecv<int>(out, 1, 3);
-            req.on_complete([&](const bc::Status& st) {
-                EXPECT_EQ(st.source, 1);
-                EXPECT_EQ(st.tag, 3);
-                ++fired;
-            });
-            (void)req.wait();
-            (void)req.wait();             // idempotent
-            EXPECT_TRUE(req.test());
-            EXPECT_EQ(fired, 1);
-            // Registering on an already-complete request fires immediately.
-            int late = 0;
-            req.on_complete([&](const bc::Status&) { ++late; });
-            EXPECT_EQ(late, 1);
-        } else {
-            comm.send_value(7, 0, 3);
-        }
-    });
-}
-
-TEST(Request, WaitAnyCompletesOutOfOrderArrivals) {
-    // Rank 0 posts irecvs from ranks 1 and 2, but rank 1's message cannot
-    // exist until rank 0 releases it with a token — so the first
-    // wait_any() *must* complete the later-posted request (index 1) while
-    // the earlier one is still in flight. That is the whole point of real
-    // nonblocking semantics: no head-of-line blocking on post order.
-    run(3, [](bc::Communicator& comm) {
-        if (comm.rank() == 0) {
-            std::vector<int> from1, from2;
-            std::vector<bc::Request> reqs;
-            reqs.push_back(comm.irecv<int>(from1, 1, 4));
-            reqs.push_back(comm.irecv<int>(from2, 2, 4));
-            std::size_t first = bc::wait_any(std::span<bc::Request>(reqs));
-            EXPECT_EQ(first, 1u);
-            EXPECT_EQ(from2, (std::vector<int>{222}));
-            comm.send_value(1, 1, 8);   // now rank 1 may send
-            std::size_t second = bc::wait_any(std::span<bc::Request>(reqs));
-            EXPECT_EQ(second, 0u);
-            EXPECT_EQ(from1, (std::vector<int>{111}));
-            // Every request retired: nothing left to wait for.
-            EXPECT_EQ(bc::wait_any(std::span<bc::Request>(reqs)), bc::wait_any_done);
-        } else if (comm.rank() == 1) {
-            EXPECT_EQ(comm.recv_value<int>(0, 8), 1);
-            comm.send_value(111, 0, 4);
-        } else {
-            comm.send_value(222, 0, 4);
-        }
-    });
-}
-
-TEST(Request, WaitAnyUnwindsOnAbort) {
-    EXPECT_THROW(
-        run(2,
-            [](bc::Communicator& comm) {
-                if (comm.rank() == 1) throw std::runtime_error("rank 1 exploded");
-                std::vector<int> out;
-                std::vector<bc::Request> reqs;
-                reqs.push_back(comm.irecv<int>(out, 1, 0));
-                (void)bc::wait_any(std::span<bc::Request>(reqs));
-            }),
-        beatnik::Error);
 }
 
 // ------------------------------------------------------- schedule export

@@ -65,11 +65,15 @@ TEST(Split, ParentStillUsableAfterSplit) {
         EXPECT_EQ(parent_sum, 4);
         int child_sum = sub.allreduce_value(1, bc::op::Sum{});
         EXPECT_EQ(child_sum, 2);
-        // Parent p2p unaffected by subcomm traffic.
-        if (comm.rank() == 0) comm.send_value(123, 3, 0);
-        if (comm.rank() == 3) {
-            EXPECT_EQ(comm.recv_value<int>(0, 0), 123);
-        }
+        // Parent traffic is unaffected by subcomm traffic: each group's
+        // root broadcasts on the subcomm while the parent's root
+        // broadcasts across both groups.
+        int group_value = comm.rank() % 2 == 0 ? 10 + comm.rank() : 0;
+        sub.bcast_value(group_value, 0);
+        int parent_value = comm.rank() == 0 ? 123 : 0;
+        comm.bcast_value(parent_value, 0);
+        EXPECT_EQ(group_value, 10 + 2 * (comm.rank() / 2));
+        EXPECT_EQ(parent_value, 123);
     });
 }
 
@@ -89,15 +93,23 @@ TEST(Split, DupCreatesIndependentTagSpace) {
         auto copy = comm.dup();
         EXPECT_EQ(copy.size(), comm.size());
         EXPECT_EQ(copy.rank(), comm.rank());
-        // Message sent on the dup is not visible to the parent.
+        EXPECT_NE(copy.comm_id(), comm.comm_id());
+        // Two fresh dups issue the same collective tag sequence; only the
+        // communicator id keeps their messages apart. Rank 0 broadcasts on
+        // `copy` first, every other rank receives on `other` first — with
+        // a shared tag space the first receive would take copy's value.
+        auto other = comm.dup();
+        int a = comm.rank() == 0 ? 5 : 0;
+        int b = comm.rank() == 0 ? 6 : 0;
         if (comm.rank() == 0) {
-            copy.send_value(5, 1, 0);
-            comm.send_value(6, 1, 0);
+            copy.bcast_value(a, 0);
+            other.bcast_value(b, 0);
+        } else {
+            other.bcast_value(b, 0);
+            copy.bcast_value(a, 0);
         }
-        if (comm.rank() == 1) {
-            EXPECT_EQ(comm.recv_value<int>(0, 0), 6);
-            EXPECT_EQ(copy.recv_value<int>(0, 0), 5);
-        }
+        EXPECT_EQ(a, 5);
+        EXPECT_EQ(b, 6);
     });
 }
 

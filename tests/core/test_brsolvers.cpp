@@ -1,11 +1,17 @@
 // Birkhoff–Rott solver tests: exact vs cutoff agreement, cutoff accuracy
-// monotonicity, multi-rank consistency, and spatial bookkeeping.
+// monotonicity, multi-rank consistency, spatial bookkeeping, and the
+// allocation-free steady state of the exact ring (per-thread counting
+// global allocator — this TU replaces operator new/delete for this test
+// binary only).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <new>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -20,6 +26,37 @@ namespace bg = beatnik::grid;
 namespace bp = beatnik::par;
 namespace bs = beatnik::search;
 namespace bt = beatnik::test;
+
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+/// Allocations performed by the current thread since start-up. A
+/// steady-state exact evaluation must not advance this on the rank threads.
+thread_local std::uint64_t t_allocs = 0;
+} // namespace
+
+void* operator new(std::size_t n) {
+    ++t_allocs;
+    if (void* p = std::malloc(n ? n : 1)) return p;
+    throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+    ++t_allocs;
+    const std::size_t a = static_cast<std::size_t>(al);
+    const std::size_t rounded = (n + a - 1) / a * a;
+    if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
+    throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -52,25 +89,9 @@ struct VelocityProbe {
     std::vector<double> samples; // a few fixed global nodes
 };
 
-/// Compute the BR velocity field with the solver \p params selects, from
-/// a seeded vorticity, and hand the mesh and owned velocities to \p visit.
-/// With \p mirror_fields on a device-resident state, gamma and the
-/// velocity get device mirrors, so the solver runs its device kernels
-/// over pinned staging.
-void solve_velocity(
-    bc::Communicator& comm, const b::Params& params,
-    const std::function<void(const b::SurfaceMesh&, const bg::NodeField<double, 3>&)>& visit,
-    bool mirror_fields = false) {
-    b::SurfaceMesh mesh(comm, params);
-    b::ProblemManager pm(comm, mesh, params);
-    std::unique_ptr<b::BRSolverBase> solver;
-    if (params.br_solver == b::BRSolverKind::exact) {
-        solver = std::make_unique<b::ExactBRSolver>(mesh, params);
-    } else {
-        solver = std::make_unique<b::CutoffBRSolver>(mesh, params);
-    }
-
-    // Seed a nontrivial vorticity so gamma != 0.
+/// Seed a nontrivial vorticity (so gamma != 0), gather its halos and
+/// return the BR source strength gamma over the owned nodes.
+bg::NodeField<double, 3> seeded_gamma(const b::SurfaceMesh& mesh, b::ProblemManager& pm) {
     const auto& local = mesh.local();
     for (int i = 0; i < local.owned_extent(0); ++i) {
         for (int j = 0; j < local.owned_extent(1); ++j) {
@@ -91,7 +112,29 @@ void solve_velocity(
             gamma(i, j, 2) = g.z;
         }
     }
-    bg::NodeField<double, 3> vel(local);
+    return gamma;
+}
+
+/// Compute the BR velocity field with the solver \p params selects, from
+/// a seeded vorticity, and hand the mesh and owned velocities to \p visit.
+/// With \p mirror_fields on a device-resident state, gamma and the
+/// velocity get device mirrors, so the solver runs its device kernels
+/// over pinned staging.
+void solve_velocity(
+    bc::Communicator& comm, const b::Params& params,
+    const std::function<void(const b::SurfaceMesh&, const bg::NodeField<double, 3>&)>& visit,
+    bool mirror_fields = false) {
+    b::SurfaceMesh mesh(comm, params);
+    b::ProblemManager pm(comm, mesh, params);
+    std::unique_ptr<b::BRSolverBase> solver;
+    if (params.br_solver == b::BRSolverKind::exact) {
+        solver = std::make_unique<b::ExactBRSolver>(mesh, params);
+    } else {
+        solver = std::make_unique<b::CutoffBRSolver>(mesh, params);
+    }
+
+    bg::NodeField<double, 3> gamma = seeded_gamma(mesh, pm);
+    bg::NodeField<double, 3> vel(mesh.local());
     if (mirror_fields && pm.device_resident()) {
         auto& q = pm.device_queue();
         pm.ensure_device_current();
@@ -491,24 +534,7 @@ TEST(BRSolvers, FirstEvaluationWritesVelocity) {
         const auto& local = mesh.local();
         const int ni = local.owned_extent(0);
         const int nj = local.owned_extent(1);
-        for (int i = 0; i < ni; ++i) {
-            for (int j = 0; j < nj; ++j) {
-                double x = mesh.coordinate(0, i), y = mesh.coordinate(1, j);
-                pm.vorticity()(i, j, 0) = std::sin(2.0 * x) * std::cos(y);
-                pm.vorticity()(i, j, 1) = std::cos(x) * std::sin(2.0 * y);
-            }
-        }
-        pm.gather_halos();
-        const double dx = mesh.global().spacing(0), dy = mesh.global().spacing(1);
-        bg::NodeField<double, 3> gamma(local);
-        for (int i = 0; i < ni; ++i) {
-            for (int j = 0; j < nj; ++j) {
-                auto g = b::operators::gamma_vector(pm.position(), pm.vorticity(), i, j, dx, dy);
-                gamma(i, j, 0) = g.x;
-                gamma(i, j, 1) = g.y;
-                gamma(i, j, 2) = g.z;
-            }
-        }
+        bg::NodeField<double, 3> gamma = seeded_gamma(mesh, pm);
 
         // Poison the output so "solver never wrote it" cannot pass.
         bg::NodeField<double, 3> vel(local);
@@ -553,6 +579,40 @@ TEST(BRSolvers, FirstEvaluationWritesVelocity) {
         // Sanity: the deck actually produces nontrivial velocities.
         EXPECT_GT(nonzero, n / 2);
     });
+}
+
+// The exact ring's steady state is allocation-free: after the first
+// evaluation has sized the staging and built the ring plan, each of the
+// P - 1 block passes reuses the plan's channel buffers. The velocity is
+// recomputed from a frozen state, so the contract is per evaluation.
+TEST(BRSolvers, ExactSteadyStateHasZeroRankThreadAllocations) {
+    constexpr int kRanks = 4;
+    std::array<std::uint64_t, kRanks> alloc_deltas{};
+    run(kRanks, [&](bc::Communicator& comm) {
+        bp::ScopedBackend scoped(bp::Backend::serial);
+        const auto params = br_params(16, b::BRSolverKind::exact, 0.5);
+        b::SurfaceMesh mesh(comm, params);
+        b::ProblemManager pm(comm, mesh, params);
+        b::ExactBRSolver solver(mesh, params);
+        bg::NodeField<double, 3> gamma = seeded_gamma(mesh, pm);
+        bg::NodeField<double, 3> vel(mesh.local());
+        for (int i = 0; i < 2; ++i) solver.compute_velocity(pm, gamma, vel);   // warm-up
+        comm.barrier();
+        const std::uint64_t allocs_before = t_allocs;
+        for (int i = 0; i < 20; ++i) solver.compute_velocity(pm, gamma, vel);
+        // Read the counter before the barrier: the collective allocates
+        // (mailbox path) and is not under test.
+        alloc_deltas[static_cast<std::size_t>(comm.rank())] = t_allocs - allocs_before;
+        comm.barrier();
+    });
+    // Armed verifiers allocate by design (shadow records, wait-for graph).
+    if (bp::device::devcheck::enabled() || bc::plancheck::enabled()) {
+        GTEST_SKIP() << "allocation counting not meaningful with a verifier armed";
+    }
+    for (int r = 0; r < kRanks; ++r) {
+        EXPECT_EQ(alloc_deltas[static_cast<std::size_t>(r)], 0u)
+            << "rank " << r << " allocated on the steady-state exact BR path";
+    }
 }
 
 TEST(CutoffBookkeeping, SpatialCensusSumsToAllPoints) {

@@ -56,11 +56,10 @@ TEST(NodeField, PackUnpackRoundTrip) {
         }
     }
     bg::IndexSpace2D space{{2, 7}, {3, 9}};
-    std::vector<double> buf;
-    a.pack(space, buf);
-    EXPECT_EQ(buf.size(), space.size() * 2);
+    std::vector<double> buf(space.size() * 2);
+    a.pack_into(space, buf);
     b.fill(0.0);
-    b.unpack(space, buf);
+    b.unpack_from(space, buf);
     bg::for_each(space, [&](int i, int j) {
         EXPECT_DOUBLE_EQ(b(i, j, 0), a(i, j, 0));
         EXPECT_DOUBLE_EQ(b(i, j, 1), a(i, j, 1));
@@ -72,7 +71,7 @@ TEST(NodeField, UnpackRejectsWrongSize) {
     auto lg = make_grid();
     bg::NodeField<double, 1> f(lg);
     std::vector<double> tiny(3);
-    EXPECT_THROW(f.unpack({{0, 4}, {0, 4}}, tiny), beatnik::Error);
+    EXPECT_THROW(f.unpack_from({{0, 4}, {0, 4}}, tiny), beatnik::Error);
 }
 
 } // namespace
