@@ -1,5 +1,6 @@
 #include "comm/context.hpp"
 
+#include <atomic>
 #include <exception>
 #include <string>
 #include <thread>
@@ -47,11 +48,14 @@ void Context::run(int nranks, const std::function<void(Communicator&)>& fn,
     std::vector<int> identity(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) identity[static_cast<std::size_t>(r)] = r;
 
+    // The first rank to fail is the one reported: every later failure
+    // may be a victim of the abort it starts.
     std::vector<std::exception_ptr> failures(static_cast<std::size_t>(nranks));
+    std::atomic<int> first_failed{-1};
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
-        threads.emplace_back([&ctx, &fn, &identity, &failures, r] {
+        threads.emplace_back([&ctx, &fn, &identity, &failures, &first_failed, r] {
             try {
                 if (telemetry::enabled()) {
                     telemetry::name_thread_track("rank " + std::to_string(r));
@@ -60,20 +64,20 @@ void Context::run(int nranks, const std::function<void(Communicator&)>& fn,
                 fn(world);
             } catch (...) {
                 failures[static_cast<std::size_t>(r)] = std::current_exception();
+                int none = -1;
+                first_failed.compare_exchange_strong(none, r);
                 ctx.abort();
             }
         });
     }
     for (auto& t : threads) t.join();
 
-    for (int r = 0; r < nranks; ++r) {
-        if (failures[static_cast<std::size_t>(r)]) {
-            try {
-                std::rethrow_exception(failures[static_cast<std::size_t>(r)]);
-            } catch (const std::exception& e) {
-                throw Error(strcat_msg("rank ", r, " failed: ", e.what()));
-            }
-        }
+    const int r = first_failed.load();
+    if (r < 0) return;
+    try {
+        std::rethrow_exception(failures[static_cast<std::size_t>(r)]);
+    } catch (const std::exception& e) {
+        throw Error(strcat_msg("rank ", r, " failed: ", e.what()));
     }
 }
 

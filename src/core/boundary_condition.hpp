@@ -8,10 +8,15 @@
 /// linearly extrapolated into the ghost band, matching the paper's
 /// description ("extrapolates position and vorticity into boundary
 /// cells").
+///
+/// Each fixup is one loop body (core/exec.hpp). With a queue it runs as
+/// kernels over the field's device mirror, enqueued after the halo unpack
+/// kernels and before the next stencil kernel; without one it runs over
+/// the host storage.
 #pragma once
 
+#include "core/exec.hpp"
 #include "core/surface_mesh.hpp"
-#include "grid/field.hpp"
 
 namespace beatnik {
 
@@ -20,49 +25,33 @@ public:
     explicit BoundaryCondition(const SurfaceMesh& mesh) : mesh_(&mesh) {}
 
     /// Fix up the position field's ghosts (call after every halo
-    /// exchange of positions).
-    void apply_position(grid::NodeField<double, 3>& z) const {
-        if (mesh_->periodic()) {
-            correct_periodic_positions(z);
-        } else {
-            extrapolate(z);
-        }
+    /// exchange of positions), on the mirror of \p q or on the host when
+    /// \p q is null.
+    void apply_position(par::device::Queue* q, grid::NodeField<double, 3>& z) const {
+        with_exec(q, [&](auto ex) {
+            if (mesh_->periodic()) {
+                correct_periodic_positions(ex, ex.view(z));
+            } else {
+                extrapolate(ex, ex.view(z));
+            }
+        });
     }
 
     /// Fix up a non-position field's ghosts (vorticity, velocity,
     /// Bernoulli scalar): periodic ghosts are already correct copies; free
     /// boundaries extrapolate.
     template <int C>
-    void apply_value(grid::NodeField<double, C>& f) const {
-        if (!mesh_->periodic()) extrapolate(f);
-    }
-
-    // ------------------------------------------------------- device path
-    //
-    // The same fixups as kernels over the field's *device mirror*, for
-    // device-resident stepping: enqueued on the rank-thread's queue, so
-    // they order naturally after the halo unpack kernels and before the
-    // next stencil kernel. Bitwise-identical expressions to the host path.
-
-    /// Device apply_position: enqueue on \p q; complete at the next fence
-    /// or same-queue operation.
-    void apply_position_device(par::device::Queue& q, grid::NodeField<double, 3>& z) const {
-        if (mesh_->periodic()) {
-            correct_periodic_positions_device(q, z);
-        } else {
-            extrapolate_device(q, z);
-        }
-    }
-
-    /// Device apply_value: free boundaries extrapolate on the mirror.
-    template <int C>
-    void apply_value_device(par::device::Queue& q, grid::NodeField<double, C>& f) const {
-        if (!mesh_->periodic()) extrapolate_device(f.device_view(), q);
+    void apply_value(par::device::Queue* q, grid::NodeField<double, C>& f) const {
+        if (mesh_->periodic()) return;
+        with_exec(q, [&](auto ex) { extrapolate(ex, ex.view(f)); });
     }
 
 private:
-    void correct_periodic_positions_device(par::device::Queue& q,
-                                           grid::NodeField<double, 3>& z) const {
+    /// Add +-L offsets to ghost copies that wrapped around an axis. The
+    /// surface is periodic as z(i + N, j) = z(i, j) + (Lx, 0, 0) and
+    /// z(i, j + M) = z(i, j) + (0, Ly, 0).
+    template <class Exec, class View>
+    void correct_periodic_positions(Exec ex, View v) const {
         const auto& local = mesh_->local();
         const auto& global = mesh_->global();
         const int w = local.halo_width();
@@ -72,31 +61,29 @@ private:
         const int n1 = global.num_nodes(1);
         const double lx = global.extent(0);
         const double ly = global.extent(1);
-        const int wi = local.owned_extent(0) + 2 * w;
-        const int wj = local.owned_extent(1) + 2 * w;
-        auto v = z.device_view();
         namespace dc = par::device::devcheck;
         // Footprint: in-place shift over the whole ghosted rectangle.
-        dc::declare(q, "BoundaryCondition::periodic_positions",
-                    {dc::read(v.raw()), dc::write(v.raw())});
-        q.parallel_for(static_cast<std::size_t>(wi) * static_cast<std::size_t>(wj),
-                       [=](std::size_t k) {
-                           const int i = -w + static_cast<int>(k) / wj;
-                           const int j = -w + static_cast<int>(k) % wj;
-                           const int gi = gi0 + i;
-                           const int gj = gj0 + j;
-                           if (gi < 0) v(i, j, 0) -= lx;
-                           if (gi >= n0) v(i, j, 0) += lx;
-                           if (gj < 0) v(i, j, 1) -= ly;
-                           if (gj >= n1) v(i, j, 1) += ly;
-                       });
+        ex.for_2d("BoundaryCondition::periodic_positions", {dc::read(v.raw()), dc::write(v.raw())},
+                  -w, local.owned_extent(0) + w, -w, local.owned_extent(1) + w,
+                  [=](int i, int j) {
+                      const int gi = gi0 + i;
+                      const int gj = gj0 + j;
+                      if (gi < 0) v(i, j, 0) -= lx;
+                      if (gi >= n0) v(i, j, 0) += lx;
+                      if (gj < 0) v(i, j, 1) -= ly;
+                      if (gj >= n1) v(i, j, 1) += ly;
+                  });
     }
 
-    /// Device extrapolation: one kernel per boundary band, enqueued in
-    /// the same axis-0-then-axis-1 order as the host loops (the in-order
-    /// queue provides the corner dependency).
-    template <class View>
-    void extrapolate_device(View f, par::device::Queue& q) const {
+    /// Linear extrapolation into ghost bands that have no owning rank
+    /// (physical free boundary only — interior block edges were filled by
+    /// the halo exchange). One band per boundary, axis 0 first, then axis
+    /// 1, which runs over the i-extended range and so fills the corners
+    /// from the already-extrapolated axis-0 ghosts (on device the in-order
+    /// queue provides that dependency). Within a band every ghost value
+    /// depends only on values the band does not write.
+    template <class Exec, class View>
+    void extrapolate(Exec ex, View f) const {
         constexpr int C = View::components();
         const auto& local = mesh_->local();
         const auto& global = mesh_->global();
@@ -108,27 +95,14 @@ private:
         const bool at_jlo = local.global_offset(1) == 0;
         const bool at_jhi = local.global_offset(1) + nj == global.num_nodes(1);
 
-        // Each band is parallel over (k, cross, c): every ghost value
-        // depends only on owned values (axis 0) or on values the previous
-        // kernels already produced (axis 1 corners).
-        auto band = [&](int nc, auto&& body) {
+        auto band = [&](int n, const auto& body) {
             namespace dc = par::device::devcheck;
             // Footprint: each band reads owned values and writes its
             // ghost strip; the whole ghosted rectangle bounds both (the
             // in-order queue serializes the bands, so the coarse range
             // cannot manufacture a cross-band hazard).
-            dc::declare(q, "BoundaryCondition::extrapolate band",
-                        {dc::read(f.raw()), dc::write(f.raw())});
-            q.parallel_for(static_cast<std::size_t>(w) * static_cast<std::size_t>(nc) * C,
-                           [body, nc, C](std::size_t idx) {
-                               const auto nC = static_cast<std::size_t>(C);
-                               const int c = static_cast<int>(idx % nC);
-                               const int cross = static_cast<int>((idx / nC) %
-                                                                  static_cast<std::size_t>(nc));
-                               const int k = 1 + static_cast<int>(idx / (nC *
-                                                                  static_cast<std::size_t>(nc)));
-                               body(k, cross, c);
-                           });
+            ex.for_band("BoundaryCondition::extrapolate band",
+                        {dc::read(f.raw()), dc::write(f.raw())}, w, n, C, body);
         };
         if (at_ilo) {
             band(nj, [f](int k, int j, int c) {
@@ -142,102 +116,17 @@ private:
         }
         const int ilo = at_ilo ? -w : 0;
         const int ihi = at_ihi ? ni + w : ni;
-        const int next = ihi - ilo;
         if (at_jlo) {
-            band(next, [f, ilo](int k, int off, int c) {
+            band(ihi - ilo, [f, ilo](int k, int off, int c) {
                 const int i = ilo + off;
                 f(i, -k, c) = f(i, 0, c) + k * (f(i, 0, c) - f(i, 1, c));
             });
         }
         if (at_jhi) {
-            band(next, [f, ilo, nj](int k, int off, int c) {
+            band(ihi - ilo, [f, ilo, nj](int k, int off, int c) {
                 const int i = ilo + off;
                 f(i, nj - 1 + k, c) = f(i, nj - 1, c) + k * (f(i, nj - 1, c) - f(i, nj - 2, c));
             });
-        }
-    }
-
-    void extrapolate_device(par::device::Queue& q, grid::NodeField<double, 3>& z) const {
-        extrapolate_device(z.device_view(), q);
-    }
-    /// Add +-L offsets to ghost copies that wrapped around an axis. The
-    /// surface is periodic as z(i + N, j) = z(i, j) + (Lx, 0, 0) and
-    /// z(i, j + M) = z(i, j) + (0, Ly, 0).
-    void correct_periodic_positions(grid::NodeField<double, 3>& z) const {
-        const auto& local = mesh_->local();
-        const auto& global = mesh_->global();
-        const int w = local.halo_width();
-        const double lx = global.extent(0);
-        const double ly = global.extent(1);
-        auto ghosted = local.ghosted_space();
-        grid::for_each(ghosted, [&](int i, int j) {
-            int gi = local.global_offset(0) + i;
-            int gj = local.global_offset(1) + j;
-            (void)w;
-            if (gi < 0) z(i, j, 0) -= lx;
-            if (gi >= global.num_nodes(0)) z(i, j, 0) += lx;
-            if (gj < 0) z(i, j, 1) -= ly;
-            if (gj >= global.num_nodes(1)) z(i, j, 1) += ly;
-        });
-    }
-
-    /// Linear extrapolation into ghost bands that have no owning rank
-    /// (physical free boundary only — interior block edges were filled by
-    /// the halo exchange). Axis 0 first, then axis 1 (which also fills
-    /// corners using the already-extrapolated edge values).
-    template <int C>
-    void extrapolate(grid::NodeField<double, C>& f) const {
-        const auto& local = mesh_->local();
-        const auto& global = mesh_->global();
-        const int w = local.halo_width();
-        const int ni = local.owned_extent(0);
-        const int nj = local.owned_extent(1);
-        const bool at_ilo = local.global_offset(0) == 0;
-        const bool at_ihi = local.global_offset(0) + ni == global.num_nodes(0);
-        const bool at_jlo = local.global_offset(1) == 0;
-        const bool at_jhi = local.global_offset(1) + nj == global.num_nodes(1);
-
-        if (at_ilo) {
-            for (int k = 1; k <= w; ++k) {
-                for (int j = 0; j < nj; ++j) {
-                    for (int c = 0; c < C; ++c) {
-                        f(-k, j, c) = f(0, j, c) + k * (f(0, j, c) - f(1, j, c));
-                    }
-                }
-            }
-        }
-        if (at_ihi) {
-            for (int k = 1; k <= w; ++k) {
-                for (int j = 0; j < nj; ++j) {
-                    for (int c = 0; c < C; ++c) {
-                        f(ni - 1 + k, j, c) =
-                            f(ni - 1, j, c) + k * (f(ni - 1, j, c) - f(ni - 2, j, c));
-                    }
-                }
-            }
-        }
-        // Axis 1 passes run over the i-extended range so corners get
-        // extrapolated from the already-filled axis-0 ghosts.
-        const int ilo = at_ilo ? -w : 0;
-        const int ihi = at_ihi ? ni + w : ni;
-        if (at_jlo) {
-            for (int k = 1; k <= w; ++k) {
-                for (int i = ilo; i < ihi; ++i) {
-                    for (int c = 0; c < C; ++c) {
-                        f(i, -k, c) = f(i, 0, c) + k * (f(i, 0, c) - f(i, 1, c));
-                    }
-                }
-            }
-        }
-        if (at_jhi) {
-            for (int k = 1; k <= w; ++k) {
-                for (int i = ilo; i < ihi; ++i) {
-                    for (int c = 0; c < C; ++c) {
-                        f(i, nj - 1 + k, c) =
-                            f(i, nj - 1, c) + k * (f(i, nj - 1, c) - f(i, nj - 2, c));
-                    }
-                }
-            }
         }
     }
 

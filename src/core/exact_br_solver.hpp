@@ -18,11 +18,13 @@
 /// out, so a steady-state evaluation never allocates.
 ///
 /// The staging buffers (targets, circulating block, accumulators) are
-/// persistent members. On a device-resident state they are pinned and the
-/// target/block pack and the final velocity write run as device kernels
-/// over the field mirrors; the interaction sweep itself already dispatches
-/// through par::parallel_for onto the device pool, one br_sweep call per
-/// block of kBrSweepLanes targets, so every backend runs the same sweep.
+/// persistent members. The target/block pack and the final velocity write
+/// are one loop body each (core/exec.hpp): on a device-resident state
+/// with mirrored fields the buffers are pinned and the loops run as device
+/// kernels over the field mirrors. The interaction sweep itself dispatches
+/// through par::parallel_for onto whichever backend the rank-thread runs,
+/// one br_sweep call per block of kBrSweepLanes targets, so every backend
+/// runs the same sweep.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +33,7 @@
 
 #include "comm/plan.hpp"
 #include "core/br_solver.hpp"
+#include "core/exec.hpp"
 #include "par/par.hpp"
 
 namespace beatnik {
@@ -49,52 +52,52 @@ public:
 
     void compute_velocity(ProblemManager& pm, const grid::NodeField<double, 3>& gamma,
                           grid::NodeField<double, 3>& velocity) override {
+        const bool device =
+            pm.device_resident() && gamma.device_mirrored() && velocity.device_mirrored();
+        // Host staging reads the host copy of the positions.
+        if (!device) pm.sync_host();
+        with_exec(device ? &pm.device_queue() : nullptr,
+                  [&](auto ex) { compute(ex, pm, gamma, velocity); });
+    }
+
+private:
+    static double square(double v) { return v * v; }
+
+    template <class Exec>
+    void compute(Exec ex, ProblemManager& pm, const grid::NodeField<double, 3>& gamma,
+                 grid::NodeField<double, 3>& velocity) {
         auto& comm = pm.comm();
         const auto& local = mesh_->local();
         const int ni = local.owned_extent(0);
         const int nj = local.owned_extent(1);
-        const auto n_own = static_cast<std::size_t>(ni) * static_cast<std::size_t>(nj);
-        const bool device =
-            pm.device_resident() && gamma.device_mirrored() && velocity.device_mirrored();
+        const auto snj = static_cast<std::size_t>(nj);
+        const auto n_own = static_cast<std::size_t>(ni) * snj;
+        namespace dc = par::device::devcheck;
 
-        ensure_buffers(comm, n_own, device, device ? &pm.device_queue() : nullptr);
+        ensure_buffers(comm, n_own, ex.queue());
 
         // Pack targets once; the same layout doubles as the first source
         // block.
-        if (device) {
-            auto& q = pm.device_queue();
-            auto z = std::as_const(pm.position_raw()).device_view();
-            auto g = std::as_const(gamma).device_view();
+        {
+            auto z = ex.view(std::as_const(pm.position_raw()));
+            auto g = ex.view(gamma);
             SourcePoint* bp = block_.data();
             Vec3* tp = targets_.data();
             Vec3* ap = accum_.data();
-            namespace dc = par::device::devcheck;
-            dc::declare(q, "exact BR pack",
-                        {dc::read(z.raw()), dc::read(g.raw()),
-                         dc::write(bp, n_own * sizeof(SourcePoint)),
-                         dc::write(tp, n_own * sizeof(Vec3)),
-                         dc::write(ap, n_own * sizeof(Vec3))});
-            par::device::parallel_for_2d(q, ni, nj, [=](int i, int j, std::size_t k) {
-                Vec3 pos{z(i, j, 0), z(i, j, 1), z(i, j, 2)};
-                tp[k] = pos;
-                bp[k] = {pos, Vec3{g(i, j, 0), g(i, j, 1), g(i, j, 2)}};
-                ap[k] = Vec3{};
-            });
-            // The ring sends read the pinned block from host code next.
-            q.fence(); // devcheck: fenced — ring sends read the block on the host
-        } else {
-            std::size_t k = 0;
-            for (int i = 0; i < ni; ++i) {
-                for (int j = 0; j < nj; ++j, ++k) {
-                    Vec3 pos{pm.position()(i, j, 0), pm.position()(i, j, 1),
-                             pm.position()(i, j, 2)};
-                    Vec3 g{gamma(i, j, 0), gamma(i, j, 1), gamma(i, j, 2)};
-                    targets_[k] = pos;
-                    block_[k] = {pos, g};
-                }
-            }
-            std::fill(accum_.begin(), accum_.end(), Vec3{});
+            ex.for_2d("exact BR pack",
+                      {dc::read(z.raw()), dc::read(g.raw()),
+                       dc::write(bp, n_own * sizeof(SourcePoint)),
+                       dc::write(tp, n_own * sizeof(Vec3)), dc::write(ap, n_own * sizeof(Vec3))},
+                      0, ni, 0, nj, [=](int i, int j) {
+                          const std::size_t k = static_cast<std::size_t>(i) * snj + j;
+                          Vec3 pos{z(i, j, 0), z(i, j, 1), z(i, j, 2)};
+                          tp[k] = pos;
+                          bp[k] = {pos, Vec3{g(i, j, 0), g(i, j, 1), g(i, j, 2)}};
+                          ap[k] = Vec3{};
+                      });
         }
+        // The ring sends read the pinned block from host code next.
+        ex.fence(); // devcheck: fenced — ring sends read the block on the host
 
         const int p = comm.size();
         std::size_t count = n_own;
@@ -115,52 +118,37 @@ public:
             if (step + 1 < p) count = receive_block();
         }
 
+        // No fence after the write on device: the caller keeps enqueueing
+        // on the same queue, and the next evaluation's pack fence covers
+        // reuse of the accumulators.
         const double prefactor = mesh_->cell_area() / (4.0 * std::numbers::pi);
-        if (device) {
-            auto& q = pm.device_queue();
-            auto v = velocity.device_view();
-            const Vec3* ap = accum_.data();
-            namespace dc = par::device::devcheck;
-            dc::declare(q, "exact BR velocity write",
-                        {dc::read(ap, n_own * sizeof(Vec3)), dc::write(v.raw())});
-            par::device::parallel_for_2d(q, ni, nj, [=](int i, int j, std::size_t k) {
-                v(i, j, 0) = prefactor * ap[k].x;
-                v(i, j, 1) = prefactor * ap[k].y;
-                v(i, j, 2) = prefactor * ap[k].z;
-            });
-            // No fence: the caller keeps enqueueing on the same queue, and
-            // the next evaluation's pack kernel fence covers reuse of the
-            // accumulators.
-        } else {
-            std::size_t k = 0;
-            for (int i = 0; i < ni; ++i) {
-                for (int j = 0; j < nj; ++j, ++k) {
-                    velocity(i, j, 0) = prefactor * accum_[k].x;
-                    velocity(i, j, 1) = prefactor * accum_[k].y;
-                    velocity(i, j, 2) = prefactor * accum_[k].z;
-                }
-            }
-        }
+        auto v = ex.view(velocity);
+        const Vec3* ap = accum_.data();
+        ex.for_2d("exact BR velocity write",
+                  {dc::read(ap, n_own * sizeof(Vec3)), dc::write(v.raw())}, 0, ni, 0, nj,
+                  [=](int i, int j) {
+                      const std::size_t k = static_cast<std::size_t>(i) * snj + j;
+                      v(i, j, 0) = prefactor * ap[k].x;
+                      v(i, j, 1) = prefactor * ap[k].y;
+                      v(i, j, 2) = prefactor * ap[k].z;
+                  });
     }
-
-private:
-    static double square(double v) { return v * v; }
 
     /// Size the persistent staging and build the ring plan once, at the
     /// same point on every rank. Blocks arriving around the ring can be as
     /// large as the biggest rank's owned count, so the block buffer and
     /// both ring channels are sized to the global maximum up front — the
     /// pinned registration stays valid and no step ever grows a buffer.
-    void ensure_buffers(comm::Communicator& comm, std::size_t n_own, bool device,
-                        par::device::Queue* q) {
-        if (device) queue_ = q;
+    /// A non-null \p q (the device path) pins the buffers.
+    void ensure_buffers(comm::Communicator& comm, std::size_t n_own, par::device::Queue* q) {
+        if (q != nullptr) queue_ = q;
         if (buffers_ready_) return;
         const auto max_n = static_cast<std::size_t>(
             comm.allreduce_value(static_cast<double>(n_own), comm::op::Max{}));
         block_.resize(max_n);
         targets_.resize(n_own);
         accum_.resize(n_own);
-        if (device) {
+        if (q != nullptr) {
             pinned_.emplace_back(std::span<const std::byte>(
                 reinterpret_cast<const std::byte*>(block_.data()), max_n * sizeof(SourcePoint)));
             pinned_.emplace_back(std::span<const Vec3>(targets_.data(), targets_.size()));

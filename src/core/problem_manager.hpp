@@ -18,13 +18,10 @@
 ///     SiloWriter and the diagnostics reductions.
 ///
 /// A steady-state step therefore performs **zero** host<->device field
-/// copies (counting test in tests/core/test_device_residency.cpp). Set
-/// BEATNIK_DEVICE_RESIDENCY=0 to force host residency while keeping the
-/// device backend for kernels.
+/// copies (counting test in tests/core/test_device_residency.cpp).
+/// Residency follows the backend: every other backend keeps the state on
+/// the host.
 #pragma once
-
-#include <cstdlib>
-#include <string_view>
 
 #include "comm/communicator.hpp"
 #include "core/boundary_condition.hpp"
@@ -47,9 +44,7 @@ public:
           w_halo_(comm, mesh.topology(), mesh.local()),
           scratch_halo_(comm, mesh.topology(), mesh.local()) {
         apply_initial_conditions(mesh, params.initial, z_, w_);
-        if (par::backend() == par::Backend::device && residency_enabled()) {
-            enable_device_residency();
-        }
+        if (par::backend() == par::Backend::device) enable_device_residency();
         gather_halos();
     }
 
@@ -106,36 +101,6 @@ public:
     [[nodiscard]] grid::NodeField<double, 3>& position_raw() { return z_; }
     [[nodiscard]] grid::NodeField<double, 2>& vorticity_raw() { return w_; }
 
-    /// Whether device residency is requested for this process (the
-    /// BEATNIK_DEVICE_RESIDENCY=0 escape hatch forces host residency).
-    [[nodiscard]] static bool residency_enabled() {
-        static const bool on = [] {
-            const char* v = std::getenv("BEATNIK_DEVICE_RESIDENCY");
-            return v == nullptr || std::string_view(v) != "0";
-        }();
-        return on;
-    }
-
-    /// Switch the state to device residency: enable the mirrors, upload
-    /// once, and put every halo plan on the device pack/unpack path with
-    /// per-direction publish overlap. Idempotent; normally called by the
-    /// constructor under Backend::device.
-    void enable_device_residency() {
-        if (resident_) return;
-        queue_ = &par::device::default_queue();
-        z_.enable_device_mirror();
-        w_.enable_device_mirror();
-        z_halo_.enable_device(*queue_);
-        w_halo_.enable_device(*queue_);
-        scratch_halo_.enable_device(*queue_);
-        z_.sync_to_device(*queue_);
-        w_.sync_to_device(*queue_);
-        queue_->fence(); // devcheck: fenced — one-time residency upload
-        resident_ = true;
-        host_current_ = true;
-        device_current_ = true;
-    }
-
     /// Re-upload the state before device work if host-side writes made
     /// the mirrors stale. No-op in the steady state (and on host-resident
     /// managers).
@@ -172,19 +137,12 @@ public:
     void gather_halos() {
         static const telemetry::Phase ph{"step/halo"};
         telemetry::PhaseScope scope(ph);
-        if (resident_) {
-            ensure_device_current();
-            z_halo_.exchange(z_);
-            w_halo_.exchange(w_);
-            bc_.apply_position_device(*queue_, z_);
-            bc_.apply_value_device(*queue_, w_);
-            host_current_ = false;
-            return;
-        }
+        ensure_device_current();
         z_halo_.exchange(z_);
         w_halo_.exchange(w_);
-        bc_.apply_position(z_);
-        bc_.apply_value(w_);
+        bc_.apply_position(queue_, z_);
+        bc_.apply_value(queue_, w_);
+        mark_host_stale();
     }
 
     /// Halo + boundary fixup for a derived (non-position) field owned by a
@@ -201,7 +159,6 @@ public:
         static_assert(C >= 1 && C <= 3, "scratch halos ride the 1-, 2- and 3-component plans");
         static const telemetry::Phase ph{"step/halo_scratch"};
         telemetry::PhaseScope scope(ph);
-        const bool on_device = resident_ && f.device_mirrored();
         if constexpr (C == 1) {
             scratch_halo_.exchange(f);
         } else if constexpr (C == 2) {
@@ -209,14 +166,26 @@ public:
         } else {
             z_halo_.exchange(f);
         }
-        if (on_device) {
-            bc_.apply_value_device(*queue_, f);
-        } else {
-            bc_.apply_value(f);
-        }
+        bc_.apply_value(f.device_mirrored() ? queue_ : nullptr, f);
     }
 
 private:
+    /// Switch the state to device residency: enable the mirrors, upload
+    /// once, and put every halo plan on the device pack/unpack path with
+    /// per-direction publish overlap.
+    void enable_device_residency() {
+        queue_ = &par::device::default_queue();
+        z_.enable_device_mirror();
+        w_.enable_device_mirror();
+        z_halo_.enable_device(*queue_);
+        w_halo_.enable_device(*queue_);
+        scratch_halo_.enable_device(*queue_);
+        z_.sync_to_device(*queue_);
+        w_.sync_to_device(*queue_);
+        queue_->fence(); // devcheck: fenced — one-time residency upload
+        resident_ = true;
+    }
+
     /// Host-accessor coherence: download when the mirror is ahead; a
     /// write-intent access marks the mirror stale so the next device
     /// entry re-uploads.
@@ -235,7 +204,7 @@ private:
     grid::HaloPlan<double, 3> z_halo_;
     grid::HaloPlan<double, 2> w_halo_;
     grid::HaloPlan<double, 1> scratch_halo_;
-    par::device::Queue* queue_ = nullptr;
+    par::device::Queue* queue_ = nullptr; ///< the state's queue; null unless resident
     bool resident_ = false;
     bool host_current_ = true;    ///< host arrays reflect the latest state
     bool device_current_ = true;  ///< mirrors reflect the latest state

@@ -3,10 +3,11 @@
 /// TimeIntegrator module: "three derivatives, hence invokes the ZModel
 /// object three times per timestep").
 ///
-/// On a device-resident ProblemManager the stage save and the axpy state
-/// updates run as device kernels over the state mirrors — the step never
-/// touches the host copies, which is what keeps a steady-state step free
-/// of host<->device traffic.
+/// The stage save and the axpy state updates are one loop body each
+/// (core/exec.hpp). On a device-resident ProblemManager they run as device
+/// kernels over the state mirrors — the step never touches the host
+/// copies, which is what keeps a steady-state step free of host<->device
+/// traffic.
 #pragma once
 
 #include <utility>
@@ -24,7 +25,7 @@ public:
 
     /// Drain in-flight kernels before the stage mirrors die.
     ~TimeIntegrator() {
-        if (device_) queue_->fence(); // devcheck: fenced — teardown drain
+        if (queue_ != nullptr) queue_->fence(); // devcheck: fenced — teardown drain
     }
     TimeIntegrator(const TimeIntegrator&) = delete;
     TimeIntegrator& operator=(const TimeIntegrator&) = delete;
@@ -36,29 +37,30 @@ public:
         static const telemetry::Phase ph2{"step/rk3_stage2"};
         static const telemetry::Phase ph3{"step/rk3_stage3"};
         if (pm.device_resident()) ensure_device(pm);
-        save_state(pm);
-
-        {
-            // Stage 1: u1 = u + dt f(u)
-            telemetry::PhaseScope scope(ph1);
-            model_->derivatives(pm, zdot_, wdot_);
-            axpy_state(pm, 1.0, 0.0, dt);
-            pm.gather_halos();
-        }
-        {
-            // Stage 2: u2 = 3/4 u + 1/4 (u1 + dt f(u1))
-            telemetry::PhaseScope scope(ph2);
-            model_->derivatives(pm, zdot_, wdot_);
-            axpy_state(pm, 0.25, 0.75, 0.25 * dt);
-            pm.gather_halos();
-        }
-        {
-            // Stage 3: u = 1/3 u + 2/3 (u2 + dt f(u2))
-            telemetry::PhaseScope scope(ph3);
-            model_->derivatives(pm, zdot_, wdot_);
-            axpy_state(pm, 2.0 / 3.0, 1.0 / 3.0, (2.0 / 3.0) * dt);
-            pm.gather_halos();
-        }
+        with_exec(queue_, [&](auto ex) {
+            save_state(ex, pm);
+            {
+                // Stage 1: u1 = u + dt f(u)
+                telemetry::PhaseScope scope(ph1);
+                model_->derivatives(pm, zdot_, wdot_);
+                axpy_state(ex, pm, 1.0, 0.0, dt);
+                pm.gather_halos();
+            }
+            {
+                // Stage 2: u2 = 3/4 u + 1/4 (u1 + dt f(u1))
+                telemetry::PhaseScope scope(ph2);
+                model_->derivatives(pm, zdot_, wdot_);
+                axpy_state(ex, pm, 0.25, 0.75, 0.25 * dt);
+                pm.gather_halos();
+            }
+            {
+                // Stage 3: u = 1/3 u + 2/3 (u2 + dt f(u2))
+                telemetry::PhaseScope scope(ph3);
+                model_->derivatives(pm, zdot_, wdot_);
+                axpy_state(ex, pm, 2.0 / 3.0, 1.0 / 3.0, (2.0 / 3.0) * dt);
+                pm.gather_halos();
+            }
+        });
     }
 
 private:
@@ -66,84 +68,57 @@ private:
     /// keep every intermediate on the device. They are pure scratch —
     /// written before read each step — so no upload is needed.
     void ensure_device(ProblemManager& pm) {
-        if (device_) return;
+        if (queue_ != nullptr) return;
         queue_ = &pm.device_queue();
         z0_.enable_device_mirror();
         w0_.enable_device_mirror();
         zdot_.enable_device_mirror();
         wdot_.enable_device_mirror();
-        device_ = true;
     }
 
-    void save_state(ProblemManager& pm) {
-        if (device_) {
-            pm.ensure_device_current();
-            const auto [ni, nj] = own_extents();
-            auto z = std::as_const(pm.position_raw()).device_view();
-            auto w = std::as_const(pm.vorticity_raw()).device_view();
-            auto z0 = z0_.device_view();
-            auto w0 = w0_.device_view();
-            namespace dc = par::device::devcheck;
-            dc::declare(*queue_, "rk3 stage save",
-                        {dc::read(z.raw()), dc::read(w.raw()), dc::write(z0.raw()),
-                         dc::write(w0.raw())});
-            par::device::parallel_for_2d(*queue_, ni, nj, [=](int i, int j, std::size_t) {
-                for (int c = 0; c < 3; ++c) z0(i, j, c) = z(i, j, c);
-                for (int c = 0; c < 2; ++c) w0(i, j, c) = w(i, j, c);
-            });
-            return;
-        }
-        const auto& local = mesh_->local();
-        grid::for_each(local.own_space(), [&](int i, int j) {
-            for (int c = 0; c < 3; ++c) z0_(i, j, c) = pm.position()(i, j, c);
-            for (int c = 0; c < 2; ++c) w0_(i, j, c) = pm.vorticity()(i, j, c);
-        });
+    template <class Exec>
+    void save_state(Exec ex, ProblemManager& pm) {
+        pm.ensure_device_current();
+        auto z = ex.view(std::as_const(pm.position_raw()));
+        auto w = ex.view(std::as_const(pm.vorticity_raw()));
+        auto z0 = ex.view(z0_);
+        auto w0 = ex.view(w0_);
+        namespace dc = par::device::devcheck;
+        ex.for_2d("rk3 stage save",
+                  {dc::read(z.raw()), dc::read(w.raw()), dc::write(z0.raw()), dc::write(w0.raw())},
+                  0, own_extent(0), 0, own_extent(1), [=](int i, int j) {
+                      for (int c = 0; c < 3; ++c) z0(i, j, c) = z(i, j, c);
+                      for (int c = 0; c < 2; ++c) w0(i, j, c) = w(i, j, c);
+                  });
     }
 
-    /// u <- a * (u + dt_eff/a... ) — concretely: u = b*u0 + a*u + a*dt*f
-    /// evaluated pointwise on owned nodes, where u is the current state,
-    /// u0 the step-start state, and f the freshly computed derivative.
-    void axpy_state(ProblemManager& pm, double a, double b, double a_dt) {
-        if (device_) {
-            const auto [ni, nj] = own_extents();
-            auto z = pm.position_raw().device_view();
-            auto w = pm.vorticity_raw().device_view();
-            auto z0 = std::as_const(z0_).device_view();
-            auto w0 = std::as_const(w0_).device_view();
-            auto zd = std::as_const(zdot_).device_view();
-            auto wd = std::as_const(wdot_).device_view();
-            namespace dc = par::device::devcheck;
-            dc::declare(*queue_, "rk3 axpy",
-                        {dc::read(z0.raw()), dc::read(w0.raw()), dc::read(zd.raw()),
-                         dc::read(wd.raw()), dc::write(z.raw()), dc::write(w.raw())});
-            par::device::parallel_for_2d(*queue_, ni, nj, [=](int i, int j, std::size_t) {
-                for (int c = 0; c < 3; ++c) {
-                    z(i, j, c) = b * z0(i, j, c) + a * z(i, j, c) + a_dt * zd(i, j, c);
-                }
-                for (int c = 0; c < 2; ++c) {
-                    w(i, j, c) = b * w0(i, j, c) + a * w(i, j, c) + a_dt * wd(i, j, c);
-                }
-            });
-            pm.mark_host_stale();
-            return;
-        }
-        const auto& local = mesh_->local();
-        grid::for_each(local.own_space(), [&](int i, int j) {
-            for (int c = 0; c < 3; ++c) {
-                pm.position()(i, j, c) = b * z0_(i, j, c) + a * pm.position()(i, j, c) +
-                                         a_dt * zdot_(i, j, c);
-            }
-            for (int c = 0; c < 2; ++c) {
-                pm.vorticity()(i, j, c) = b * w0_(i, j, c) + a * pm.vorticity()(i, j, c) +
-                                          a_dt * wdot_(i, j, c);
-            }
-        });
+    /// u = b*u0 + a*u + a_dt*f, evaluated pointwise on owned nodes, where
+    /// u is the current state, u0 the step-start state, and f the freshly
+    /// computed derivative.
+    template <class Exec>
+    void axpy_state(Exec ex, ProblemManager& pm, double a, double b, double a_dt) {
+        auto z = ex.view(pm.position_raw());
+        auto w = ex.view(pm.vorticity_raw());
+        auto z0 = ex.view(std::as_const(z0_));
+        auto w0 = ex.view(std::as_const(w0_));
+        auto zd = ex.view(std::as_const(zdot_));
+        auto wd = ex.view(std::as_const(wdot_));
+        namespace dc = par::device::devcheck;
+        ex.for_2d("rk3 axpy",
+                  {dc::read(z0.raw()), dc::read(w0.raw()), dc::read(zd.raw()), dc::read(wd.raw()),
+                   dc::write(z.raw()), dc::write(w.raw())},
+                  0, own_extent(0), 0, own_extent(1), [=](int i, int j) {
+                      for (int c = 0; c < 3; ++c) {
+                          z(i, j, c) = b * z0(i, j, c) + a * z(i, j, c) + a_dt * zd(i, j, c);
+                      }
+                      for (int c = 0; c < 2; ++c) {
+                          w(i, j, c) = b * w0(i, j, c) + a * w(i, j, c) + a_dt * wd(i, j, c);
+                      }
+                  });
+        pm.mark_host_stale();
     }
 
-    [[nodiscard]] std::pair<int, int> own_extents() const {
-        const auto& local = mesh_->local();
-        return {local.owned_extent(0), local.owned_extent(1)};
-    }
+    [[nodiscard]] int own_extent(int d) const { return mesh_->local().owned_extent(d); }
 
     const SurfaceMesh* mesh_;
     ZModel* model_;
@@ -151,8 +126,7 @@ private:
     grid::NodeField<double, 2> w0_;
     grid::NodeField<double, 3> zdot_;
     grid::NodeField<double, 2> wdot_;
-    par::device::Queue* queue_ = nullptr;
-    bool device_ = false;
+    par::device::Queue* queue_ = nullptr; ///< set once the stage fields are mirrored
 };
 
 } // namespace beatnik

@@ -26,21 +26,23 @@
 ///
 /// Scratch fields (gamma, velocities, Bernoulli scalar) and the spectral
 /// staging buffer are persistent members, so a steady-state derivative
-/// evaluation allocates nothing. On a device-resident ProblemManager the
-/// whole pipeline runs as device kernels over the field mirrors: gamma,
-/// the Bernoulli scalar, the derivative outputs and the FFT field<->
-/// spectral marshalling are kernels, the spectral buffer is a pinned
-/// (registered) host range, and the distributed FFT's reshape staging
-/// packs/unpacks on device straight into the pinned plan buffers
-/// (DistributedFFT2D::enable_device). Host code touches only the pinned
-/// spectral lines (the butterflies and the multiplier), never the field
-/// mirrors.
+/// evaluation allocates nothing. The pipeline is written once, as loop
+/// bodies over field views (core/exec.hpp): gamma, the Bernoulli scalar,
+/// the derivative outputs and the FFT field<->spectral marshalling. On a
+/// host-resident ProblemManager they run over the host fields. On a
+/// device-resident one they are device kernels over the field mirrors,
+/// the spectral buffer is a pinned (registered) host range, and the
+/// distributed FFT's reshape staging packs/unpacks on device straight
+/// into the pinned plan buffers (DistributedFFT2D::enable_device). Host
+/// code touches only the pinned spectral lines (the butterflies and the
+/// multiplier), never the field mirrors.
 #pragma once
 
 #include <numbers>
 #include <optional>
 
 #include "core/br_solver.hpp"
+#include "core/exec.hpp"
 #include "core/operators.hpp"
 #include "fft/distributed_fft.hpp"
 #include "par/par.hpp"
@@ -71,7 +73,7 @@ public:
     /// Drain in-flight kernels before the scratch mirrors and pinned
     /// spectral buffers die.
     ~ZModel() {
-        if (device_) queue_->fence(); // devcheck: fenced — teardown drain
+        if (queue_ != nullptr) queue_->fence(); // devcheck: fenced — teardown drain
     }
     ZModel(const ZModel&) = delete;
     ZModel& operator=(const ZModel&) = delete;
@@ -92,19 +94,19 @@ public:
         static const telemetry::Phase ph{"step/derivatives"};
         telemetry::PhaseScope scope(ph);
         if (!pm.device_resident()) {
-            derivatives_host(pm, zdot, wdot);
+            evaluate(HostExec{}, pm, zdot, wdot);
             return;
         }
         // Half-mirrored caller fields would leave the mirrored one's
         // device copy silently stale after the download path — refuse.
         BEATNIK_REQUIRE(zdot.device_mirrored() == wdot.device_mirrored(),
                         "derivative fields must be both mirrored or both host-resident");
-        if (zdot.device_mirrored() && wdot.device_mirrored()) {
-            derivatives_device(pm, zdot, wdot);
+        ensure_device(pm);
+        if (zdot.device_mirrored()) {
+            evaluate(DeviceExec{queue_}, pm, zdot, wdot);
             return;
         }
-        ensure_device(pm);
-        derivatives_device(pm, zdot_dev_, wdot_dev_);
+        evaluate(DeviceExec{queue_}, pm, zdot_dev_, wdot_dev_);
         zdot_dev_.sync_to_host(*queue_);
         wdot_dev_.sync_to_host(*queue_);
         queue_->fence(); // devcheck: fenced — host loop downloads the mirrors
@@ -119,8 +121,9 @@ public:
     [[nodiscard]] BRSolverBase* br_solver() const { return br_; }
 
 private:
-    // Shared by the host and device pipelines (and, for br, three call
-    // sites), so the interned Phase lives here rather than per call site.
+    // Shared by both instantiations of the pipeline (and, for br, two
+    // call sites), so the interned Phase lives here rather than per call
+    // site.
     static const telemetry::Phase& br_phase() {
         static const telemetry::Phase ph{"step/br"};
         return ph;
@@ -130,119 +133,49 @@ private:
         return ph;
     }
 
-    void derivatives_host(ProblemManager& pm, grid::NodeField<double, 3>& zdot,
-                          grid::NodeField<double, 2>& wdot) {
-        const auto& local = mesh_->local();
-        const int ni = local.owned_extent(0);
-        const int nj = local.owned_extent(1);
-        const double dx = mesh_->global().spacing(0);
-        const double dy = mesh_->global().spacing(1);
-        // Bind the state fields outside the kernels: the accessors do
-        // coherence work on a device-resident state (a host refresh), and
-        // that must happen on the host thread, not inside a kernel on the
-        // worker pool.
-        const auto& z = std::as_const(pm).position();
-        const auto& w = std::as_const(pm).vorticity();
-
-        // Biot–Savart source gamma at owned nodes (width-2 stencils).
-        // All point-local loops below go through par::parallel_for_2d, so
-        // the kernels run unmodified on whichever backend the rank-thread
-        // selected (serial, OpenMP worksharing, or the device pool).
-        grid::NodeField<double, 3>& gamma = gamma_;
-        par::parallel_for_2d(0, ni, 0, nj, [&](std::ptrdiff_t ip, std::ptrdiff_t jp) {
-            const int i = static_cast<int>(ip);
-            const int j = static_cast<int>(jp);
-            Vec3 g = operators::gamma_vector(z, w, i, j, dx, dy);
-            gamma(i, j, 0) = g.x;
-            gamma(i, j, 1) = g.y;
-            gamma(i, j, 2) = g.z;
-        });
-
-        // Interface velocity W (zdot) and the Bernoulli velocity Wb.
-        if (order_ != Order::high) fft_velocity_host(gamma, w_fft_);
-        grid::NodeField<double, 3>* w_for_z = &w_fft_;
-        grid::NodeField<double, 3>* w_for_bernoulli = &w_fft_;
-        if (order_ != Order::low) {
-            telemetry::PhaseScope br_scope(br_phase());
-            br_->compute_velocity(pm, gamma, w_br_);
-            w_for_z = &w_br_;
-            if (order_ == Order::high) w_for_bernoulli = &w_br_;
-        }
-        par::parallel_for_2d(0, ni, 0, nj, [&](std::ptrdiff_t ip, std::ptrdiff_t jp) {
-            const int i = static_cast<int>(ip);
-            const int j = static_cast<int>(jp);
-            for (int c = 0; c < 3; ++c) zdot(i, j, c) = (*w_for_z)(i, j, c);
-        });
-
-        // Bernoulli scalar phi = -2*A*g*z3 - A*|Wb|^2, haloed so its
-        // surface gradient exists at owned nodes.
-        grid::NodeField<double, 1>& phi = phi_;
-        par::parallel_for_2d(0, ni, 0, nj, [&](std::ptrdiff_t ip, std::ptrdiff_t jp) {
-            const int i = static_cast<int>(ip);
-            const int j = static_cast<int>(jp);
-            const auto& wb = *w_for_bernoulli;
-            double speed2 = wb(i, j, 0) * wb(i, j, 0) + wb(i, j, 1) * wb(i, j, 1) +
-                            wb(i, j, 2) * wb(i, j, 2);
-            phi(i, j, 0) = -2.0 * atwood_ * gravity_ * z(i, j, 2) - atwood_ * speed2;
-        });
-        pm.gather_scratch_halo(phi);
-
-        par::parallel_for_2d(0, ni, 0, nj, [&](std::ptrdiff_t ip, std::ptrdiff_t jp) {
-            const int i = static_cast<int>(ip);
-            const int j = static_cast<int>(jp);
-            wdot(i, j, 0) = operators::d1(phi, i, j, 0, dx) +
-                            mu_eff_ * operators::laplacian(w, i, j, 0, dx, dy);
-            wdot(i, j, 1) = operators::d2(phi, i, j, 0, dy) +
-                            mu_eff_ * operators::laplacian(w, i, j, 1, dx, dy);
-        });
-    }
-
-    /// The same pipeline as device kernels over the mirrors. Everything is
-    /// enqueued on the state's queue, so stages order by stream semantics;
-    /// host synchronization happens only inside the FFT (butterflies on
-    /// the pinned spectral lines) and the BR solvers' communication.
-    /// Expressions are evaluated per node exactly as in the host path, so
-    /// results are bitwise identical.
-    void derivatives_device(ProblemManager& pm, grid::NodeField<double, 3>& zdot,
-                            grid::NodeField<double, 2>& wdot) {
-        ensure_device(pm);
+    /// The pipeline, on host fields or on device mirrors. On device every
+    /// stage is enqueued on the state's queue, so stages order by stream
+    /// semantics; host synchronization happens only inside the FFT
+    /// (butterflies on the pinned spectral lines) and the BR solvers'
+    /// communication.
+    template <class Exec>
+    void evaluate(Exec ex, ProblemManager& pm, grid::NodeField<double, 3>& zdot,
+                  grid::NodeField<double, 2>& wdot) {
         pm.ensure_device_current();
-        par::device::Queue& q = *queue_;
         const auto& local = mesh_->local();
         const int ni = local.owned_extent(0);
         const int nj = local.owned_extent(1);
         const double dx = mesh_->global().spacing(0);
         const double dy = mesh_->global().spacing(1);
-
-        auto z = std::as_const(pm.position_raw()).device_view();
-        auto w = std::as_const(pm.vorticity_raw()).device_view();
+        auto z = ex.view(std::as_const(pm.position_raw()));
+        auto w = ex.view(std::as_const(pm.vorticity_raw()));
         namespace dc = par::device::devcheck;
 
+        // Biot–Savart source gamma at owned nodes (width-2 stencils).
         {
-            auto g = gamma_.device_view();
-            dc::declare(q, "zmodel gamma",
-                        {dc::read(z.raw()), dc::read(w.raw()), dc::write(g.raw())});
-            par::device::parallel_for_2d(q, ni, nj, [=](int i, int j, std::size_t) {
-                Vec3 gv = operators::gamma_vector(z, w, i, j, dx, dy);
-                g(i, j, 0) = gv.x;
-                g(i, j, 1) = gv.y;
-                g(i, j, 2) = gv.z;
-            });
+            auto g = ex.view(gamma_);
+            ex.for_2d("zmodel gamma", {dc::read(z.raw()), dc::read(w.raw()), dc::write(g.raw())},
+                      0, ni, 0, nj, [=](int i, int j) {
+                          Vec3 gv = operators::gamma_vector(z, w, i, j, dx, dy);
+                          g(i, j, 0) = gv.x;
+                          g(i, j, 1) = gv.y;
+                          g(i, j, 2) = gv.z;
+                      });
         }
 
-        // Interface velocity W and the Bernoulli velocity Wb. The BR
-        // solver's begin hook starts its gamma-dependent staging (the
-        // cutoff solver's pack/canonicalize kernel) on a side queue,
-        // chained behind the gamma kernel by an event — it overlaps the
-        // FFT below. For medium order the whole Bernoulli chain (phi,
-        // its halo, wdot) depends only on the FFT velocity, so it is
-        // issued *before* the BR solve: under the overlapped schedule
-        // those main-queue kernels run concurrently with the cutoff
-        // solver's spatial pipeline on its own queues. Stage order of
-        // each individual output is unchanged, so results are bitwise
-        // identical to the fenced schedule (and to the host path).
+        // Interface velocity W (zdot) and the Bernoulli velocity Wb. The
+        // BR solver's begin hook starts its gamma-dependent staging (the
+        // cutoff solver's pack/canonicalize kernel on a device-resident
+        // state) on a side queue, chained behind the gamma kernel by an
+        // event — it overlaps the FFT below. For medium order the whole
+        // Bernoulli chain (phi, its halo, wdot) depends only on the FFT
+        // velocity, so it is issued *before* the BR solve: under the
+        // overlapped device schedule those main-queue kernels run
+        // concurrently with the cutoff solver's spatial pipeline on its
+        // own queues. Each output's stage order is unchanged, so the
+        // results do not depend on the issue order.
         if (order_ != Order::low) br_->begin_velocity(pm, gamma_);
-        if (order_ != Order::high) fft_velocity_device(q);
+        if (order_ != Order::high) fft_velocity(ex);
         grid::NodeField<double, 3>* w_for_z = &w_fft_;
         grid::NodeField<double, 3>* w_for_bernoulli = &w_fft_;
         if (order_ == Order::high) {
@@ -251,54 +184,56 @@ private:
             w_for_z = &w_br_;
             w_for_bernoulli = &w_br_;
         }
-        auto enqueue_zdot = [&] {
-            auto src = std::as_const(*w_for_z).device_view();
-            auto dst = zdot.device_view();
-            dc::declare(q, "zmodel zdot copy", {dc::read(src.raw()), dc::write(dst.raw())});
-            par::device::parallel_for_2d(q, ni, nj, [=](int i, int j, std::size_t) {
-                for (int c = 0; c < 3; ++c) dst(i, j, c) = src(i, j, c);
-            });
+        auto issue_zdot = [&] {
+            auto src = ex.view(std::as_const(*w_for_z));
+            auto dst = ex.view(zdot);
+            ex.for_2d("zmodel zdot copy", {dc::read(src.raw()), dc::write(dst.raw())}, 0, ni, 0,
+                      nj, [=](int i, int j) {
+                          for (int c = 0; c < 3; ++c) dst(i, j, c) = src(i, j, c);
+                      });
         };
-        auto enqueue_bernoulli = [&] {
+        // Bernoulli scalar phi = -2*A*g*z3 - A*|Wb|^2, haloed so its
+        // surface gradient exists at owned nodes.
+        auto issue_bernoulli = [&] {
             {
-                auto wb = std::as_const(*w_for_bernoulli).device_view();
-                auto phi = phi_.device_view();
+                auto wb = ex.view(std::as_const(*w_for_bernoulli));
+                auto phi = ex.view(phi_);
                 const double atwood = atwood_;
                 const double gravity = gravity_;
-                dc::declare(q, "zmodel bernoulli phi",
-                            {dc::read(wb.raw()), dc::read(z.raw()), dc::write(phi.raw())});
-                par::device::parallel_for_2d(q, ni, nj, [=](int i, int j, std::size_t) {
-                    double speed2 = wb(i, j, 0) * wb(i, j, 0) + wb(i, j, 1) * wb(i, j, 1) +
-                                    wb(i, j, 2) * wb(i, j, 2);
-                    phi(i, j, 0) = -2.0 * atwood * gravity * z(i, j, 2) - atwood * speed2;
-                });
+                ex.for_2d("zmodel bernoulli phi",
+                          {dc::read(wb.raw()), dc::read(z.raw()), dc::write(phi.raw())}, 0, ni, 0,
+                          nj, [=](int i, int j) {
+                              double speed2 = wb(i, j, 0) * wb(i, j, 0) +
+                                              wb(i, j, 1) * wb(i, j, 1) + wb(i, j, 2) * wb(i, j, 2);
+                              phi(i, j, 0) = -2.0 * atwood * gravity * z(i, j, 2) - atwood * speed2;
+                          });
             }
             pm.gather_scratch_halo(phi_);
             {
-                auto phi = std::as_const(phi_).device_view();
-                auto dst = wdot.device_view();
+                auto phi = ex.view(std::as_const(phi_));
+                auto dst = ex.view(wdot);
                 const double mu_eff = mu_eff_;
-                dc::declare(q, "zmodel wdot",
-                            {dc::read(phi.raw()), dc::read(w.raw()), dc::write(dst.raw())});
-                par::device::parallel_for_2d(q, ni, nj, [=](int i, int j, std::size_t) {
-                    dst(i, j, 0) = operators::d1(phi, i, j, 0, dx) +
-                                   mu_eff * operators::laplacian(w, i, j, 0, dx, dy);
-                    dst(i, j, 1) = operators::d2(phi, i, j, 0, dy) +
-                                   mu_eff * operators::laplacian(w, i, j, 1, dx, dy);
-                });
+                ex.for_2d("zmodel wdot",
+                          {dc::read(phi.raw()), dc::read(w.raw()), dc::write(dst.raw())}, 0, ni, 0,
+                          nj, [=](int i, int j) {
+                              dst(i, j, 0) = operators::d1(phi, i, j, 0, dx) +
+                                             mu_eff * operators::laplacian(w, i, j, 0, dx, dy);
+                              dst(i, j, 1) = operators::d2(phi, i, j, 0, dy) +
+                                             mu_eff * operators::laplacian(w, i, j, 1, dx, dy);
+                          });
             }
         };
         if (order_ == Order::medium) {
-            enqueue_bernoulli();
+            issue_bernoulli();
             {
                 telemetry::PhaseScope br_scope(br_phase());
                 br_->compute_velocity(pm, gamma_, w_br_);
             }
             w_for_z = &w_br_;
-            enqueue_zdot();
+            issue_zdot();
         } else {
-            enqueue_zdot();
-            enqueue_bernoulli();
+            issue_zdot();
+            issue_bernoulli();
         }
     }
 
@@ -306,7 +241,7 @@ private:
     /// staging buffers, and switch the FFT's reshape staging to device
     /// pack/unpack through the pinned plan buffers.
     void ensure_device(ProblemManager& pm) {
-        if (device_) return;
+        if (queue_ != nullptr) return;
         queue_ = &pm.device_queue();
         gamma_.enable_device_mirror();
         w_fft_.enable_device_mirror();
@@ -330,77 +265,53 @@ private:
                 std::span<const fft::cplx>(spectral_.data(), spectral_.capacity()));
             fft_->enable_device(*queue_);
         }
-        device_ = true;
     }
 
     /// Low-order interface velocity: transform the three gamma components
     /// to spectral space as one batch, apply What = i (k x gamma_hat) /
     /// (2|k|), transform back — the all-to-all load of the low-order
-    /// benchmarks (paper §4).
-    void fft_velocity_host(const grid::NodeField<double, 3>& gamma,
-                           grid::NodeField<double, 3>& velocity) {
-        telemetry::PhaseScope scope(fft_phase());
-        const auto& box = fft_->local_box();
-        const auto n = box.size();
-        spectral_.resize(3 * n);
-        for (int c = 0; c < 3; ++c) {
-            fft::cplx* sp = spectral_.data() + static_cast<std::size_t>(c) * n;
-            std::size_t k = 0;
-            for (int gi = box.i.begin; gi < box.i.end; ++gi) {
-                for (int gj = box.j.begin; gj < box.j.end; ++gj, ++k) {
-                    sp[k] = {gamma(gi - box.i.begin, gj - box.j.begin, c), 0.0};
-                }
-            }
-        }
-        spectral_velocity();
-        for (int c = 0; c < 3; ++c) {
-            const fft::cplx* sp = spectral_.data() + static_cast<std::size_t>(c) * n;
-            std::size_t m = 0;
-            for (int gi = box.i.begin; gi < box.i.end; ++gi) {
-                for (int gj = box.j.begin; gj < box.j.end; ++gj, ++m) {
-                    velocity(gi - box.i.begin, gj - box.j.begin, c) = sp[m].real();
-                }
-            }
-        }
-    }
-
-    /// Device variant: gamma -> pinned spectral lines and spectral ->
-    /// velocity marshalling are kernels; the distributed transforms and
-    /// the multiplier run on the pinned buffer.
-    void fft_velocity_device(par::device::Queue& q) {
+    /// benchmarks (paper §4). The gamma -> spectral lines and spectral ->
+    /// velocity marshalling are loops of the execution space; the
+    /// distributed transforms and the multiplier run on the host over
+    /// spectral_ (pinned on device).
+    template <class Exec>
+    void fft_velocity(Exec ex) {
         telemetry::PhaseScope scope(fft_phase());
         const auto& box = fft_->local_box();
         const int nib = box.i.extent();
         const int njb = box.j.extent();
+        const auto snj = static_cast<std::size_t>(njb);
         namespace dc = par::device::devcheck;
         const std::size_t nbox = box.size();
         spectral_.resize(3 * nbox);
         {
             fft::cplx* sp = spectral_.data();
-            auto g = std::as_const(gamma_).device_view();
-            dc::declare(q, "zmodel gamma -> spectral",
-                        {dc::read(g.raw()), dc::write(sp, 3 * nbox * sizeof(fft::cplx))});
-            par::device::parallel_for_2d(q, nib, njb, [=](int i, int j, std::size_t k) {
-                for (int c = 0; c < 3; ++c) {
-                    sp[static_cast<std::size_t>(c) * nbox + k] = {g(i, j, c), 0.0};
-                }
-            });
+            auto g = ex.view(std::as_const(gamma_));
+            ex.for_2d("zmodel gamma -> spectral",
+                      {dc::read(g.raw()), dc::write(sp, 3 * nbox * sizeof(fft::cplx))}, 0, nib, 0,
+                      njb, [=](int i, int j) {
+                          const std::size_t k = static_cast<std::size_t>(i) * snj + j;
+                          for (int c = 0; c < 3; ++c) {
+                              sp[static_cast<std::size_t>(c) * nbox + k] = {g(i, j, c), 0.0};
+                          }
+                      });
         }
         // The transforms read the spectral lines from host code (the
         // butterflies); the reshapes inside enqueue their own kernels on
         // the same queue and fence before host compute.
-        q.fence(); // devcheck: fenced — host butterflies read the spectral lines
+        ex.fence(); // devcheck: fenced — host butterflies read the spectral lines
         spectral_velocity();
         {
             const fft::cplx* sp = spectral_.data();
-            auto v = w_fft_.device_view();
-            dc::declare(q, "zmodel spectral -> velocity",
-                        {dc::read(sp, 3 * nbox * sizeof(fft::cplx)), dc::write(v.raw())});
-            par::device::parallel_for_2d(q, nib, njb, [=](int i, int j, std::size_t k) {
-                for (int c = 0; c < 3; ++c) {
-                    v(i, j, c) = sp[static_cast<std::size_t>(c) * nbox + k].real();
-                }
-            });
+            auto v = ex.view(w_fft_);
+            ex.for_2d("zmodel spectral -> velocity",
+                      {dc::read(sp, 3 * nbox * sizeof(fft::cplx)), dc::write(v.raw())}, 0, nib, 0,
+                      njb, [=](int i, int j) {
+                          const std::size_t k = static_cast<std::size_t>(i) * snj + j;
+                          for (int c = 0; c < 3; ++c) {
+                              v(i, j, c) = sp[static_cast<std::size_t>(c) * nbox + k].real();
+                          }
+                      });
         }
     }
 
@@ -466,10 +377,10 @@ private:
     /// The three gamma/velocity components back to back, in the brick or
     /// the FFT's spectral layout (see spectral_velocity()).
     std::vector<fft::cplx> spectral_;
-    // Device mode: the rank-thread's queue, plus the pin for the spectral
-    // buffer (kernels write it directly).
+    // Device mode: the rank-thread's queue (null until the device
+    // pipeline first runs), plus the pin for the spectral buffer (kernels
+    // write it directly).
     par::device::Queue* queue_ = nullptr;
-    bool device_ = false;
     par::device::ScopedHostRegistration pinned_;
 };
 

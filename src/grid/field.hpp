@@ -4,6 +4,7 @@
 #pragma once
 
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,15 +14,18 @@
 
 namespace beatnik::grid {
 
-/// Non-owning device-side view of a NodeField's ghosted rectangle: the
-/// same (i, j, c) indexing over the device mirror. Dereferenceable only
-/// in device context (kernels) — the accessor is debug-checked like any
-/// DeviceView.
-template <class T, int C>
-class DeviceFieldView {
+/// Non-owning (i, j, c) view of a NodeField's ghosted rectangle over
+/// either copy: the host storage (HostFieldView, a std::span) or the
+/// device mirror (DeviceFieldView, a DeviceView — dereferenceable only in
+/// device context, debug-checked like any DeviceView). Both index alike,
+/// so one loop body captures either by value.
+template <class T, int C, bool Device>
+class FieldView {
 public:
-    DeviceFieldView() = default;
-    DeviceFieldView(par::device::DeviceView<T> data, int halo, int ni, int nj)
+    using Data = std::conditional_t<Device, par::device::DeviceView<T>, std::span<T>>;
+
+    FieldView() = default;
+    FieldView(Data data, int halo, int ni, int nj)
         : data_(data), halo_(halo), ni_(ni), nj_(nj), stride_i_((nj + 2 * halo) * C) {}
 
     [[nodiscard]] T& operator()(int i, int j, int c = 0) const {
@@ -36,19 +40,24 @@ public:
 
     /// Underlying flat view of the whole ghosted rectangle — the footprint
     /// handle kernel call sites hand to devcheck::read()/write().
-    [[nodiscard]] par::device::DeviceView<T> raw() const { return data_; }
+    [[nodiscard]] Data raw() const { return data_; }
 
 private:
     [[nodiscard]] std::size_t index(int i, int j, int c) const {
         return static_cast<std::size_t>((i + halo_) * stride_i_ + (j + halo_) * C + c);
     }
 
-    par::device::DeviceView<T> data_;
+    Data data_;
     int halo_ = 0;
     int ni_ = 0;
     int nj_ = 0;
     int stride_i_ = 0;
 };
+
+template <class T, int C>
+using HostFieldView = FieldView<T, C, false>;
+template <class T, int C>
+using DeviceFieldView = FieldView<T, C, true>;
 
 /// A C-component field over the owned+ghost nodes of a LocalGrid2D.
 ///
@@ -141,6 +150,13 @@ public:
             T* dst = &(*this)(i, space.j.begin, 0);
             for (std::size_t m = 0; m < row; ++m) dst[m] += in[k + m];
         }
+    }
+
+    /// Host-side (i, j, c) view of the storage, the host twin of
+    /// device_view() for loop bodies written once for both.
+    [[nodiscard]] HostFieldView<T, C> host_view() { return {data_, halo_, ni_, nj_}; }
+    [[nodiscard]] HostFieldView<const T, C> host_view() const {
+        return {std::span<const T>(data_), halo_, ni_, nj_};
     }
 
     // ------------------------------------------------------ device mirror

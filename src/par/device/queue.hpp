@@ -17,11 +17,13 @@
 /// kernel captures are stored inline in the task (runtime.hpp). Events
 /// pool too: record_event() allocates a fresh completion state each call,
 /// but the steady-state loops use record_event_into(), which re-arms the
-/// caller's existing Event in place whenever this queue holds the only
-/// reference and the previous marker already fired — so the hot
-/// pack/unpack paths of the communication plans re-record the same
-/// per-direction Events every iteration without touching the heap,
-/// mirroring the plan API's own zero-allocation contract.
+/// caller's existing Event in place whenever its previous record has
+/// completed — so the hot pack/unpack paths of the communication plans
+/// re-record the same per-direction Events every iteration without
+/// touching the heap, mirroring the plan API's own zero-allocation
+/// contract. A completion state counts its records and completions, and
+/// every handle or wait op keeps the record number it waits for, so
+/// references to an earlier record stay ready across a re-arm.
 #pragma once
 
 #include <cstring>
@@ -37,11 +39,16 @@ namespace beatnik::par::device {
 
 namespace detail {
 
-/// Shared completion state behind an Event.
+/// Shared completion state behind an Event. At most one record is
+/// outstanding: a state is re-armed only once its last record completed.
 struct EventState {
     std::mutex m;
     std::condition_variable cv;
-    bool done = false;
+    std::uint64_t recorded = 0;  ///< records made on this state
+    std::uint64_t completed = 0; ///< the latest completed record
+    /// set() is running callbacks outside the lock; a re-arm waits for it,
+    /// so the next set() never races the firing scratch.
+    bool firing_busy = false;
     /// Hazard-detector half: the recording queue's clock snapshot (see
     /// devcheck.hpp). Written at record and read at wait, always under
     /// the checker's own mutex — never under m.
@@ -55,45 +62,75 @@ struct EventState {
     /// ping-pong their capacity across reuse cycles: a steady-state loop
     /// that re-records the same Event and re-registers one resume
     /// callback per iteration (the multi-queue cutoff schedule) performs
-    /// no allocation after warm-up. Only touched by the single winning
-    /// set() call, which is serialized against on_done by `done`.
+    /// no allocation after warm-up. Only touched by the set() call that
+    /// completes a record, which is serialized against on_done by
+    /// `completed` and against the next record's set() by `firing_busy`.
     std::vector<std::function<void()>> firing;
 
-    void set() {
+    /// Complete record \p n: raise `completed` to n, wake waiters, run the
+    /// callbacks registered for it.
+    void set(std::uint64_t n) {
+        bool fire = false;
         {
             std::lock_guard lock(m);
-            if (done) return;
-            done = true;
+            if (completed >= n) return;
+            completed = n;
             callbacks.swap(firing);
+            fire = firing_busy = !firing.empty();
         }
         cv.notify_all();
+        if (!fire) return;
         for (auto& cb : firing) cb();
         firing.clear();
-    }
-
-    [[nodiscard]] bool is_done() {
-        std::lock_guard lock(m);
-        return done;
-    }
-
-    void wait() {
-        std::unique_lock lock(m);
-        cv.wait(lock, [&] { return done; });
-    }
-
-    /// Run \p cb when the event completes (immediately if it already has).
-    /// The callback runs outside this state's lock.
-    template <class Cb>
-    void on_done(Cb&& cb) {
         {
             std::lock_guard lock(m);
-            if (!done) {
+            firing_busy = false;
+        }
+        cv.notify_all();
+    }
+
+    [[nodiscard]] bool is_done(std::uint64_t n) {
+        std::lock_guard lock(m);
+        return completed >= n;
+    }
+
+    void wait(std::uint64_t n) {
+        std::unique_lock lock(m);
+        cv.wait(lock, [&] { return completed >= n; });
+    }
+
+    /// Run \p cb when record \p n completes (immediately if it already
+    /// has). The callback runs outside this state's lock.
+    template <class Cb>
+    void on_done(std::uint64_t n, Cb&& cb) {
+        {
+            std::lock_guard lock(m);
+            if (completed < n) {
                 callbacks.emplace_back(std::forward<Cb>(cb));
                 return;
             }
         }
         cb();
     }
+
+    /// Start record `recorded + 1` if the last record has completed (after
+    /// its callbacks have run) and return its number; 0 if it is pending.
+    [[nodiscard]] std::uint64_t try_rearm() {
+        std::unique_lock lock(m);
+        if (completed != recorded) return 0;
+        cv.wait(lock, [&] { return !firing_busy; });
+        return ++recorded;
+    }
+};
+
+/// One record on a completion state: what an Event handle, a wait op and
+/// an event op hold.
+struct EventRef {
+    std::shared_ptr<EventState> st;
+    std::uint64_t n = 0;
+
+    [[nodiscard]] bool is_done() const { return st->is_done(n); }
+    void set() const { st->set(n); }
 };
 
 } // namespace detail
@@ -104,13 +141,14 @@ class Event {
 public:
     Event() = default;
 
-    [[nodiscard]] bool ready() const { return !st_ || st_->is_done(); }
+    [[nodiscard]] bool ready() const { return !ev_.st || ev_.is_done(); }
 
     /// Host-side block until the marker completes. Under devcheck, waiting
     /// on a default-constructed (never-recorded) Event is flagged: the
     /// "edge" such a wait creates does not exist.
     void wait() const {
-        if (!st_) {
+        const auto& st = ev_.st;
+        if (!st) {
             if (devcheck::enabled()) {
                 devcheck::Checker::instance().on_wait_never_recorded(nullptr);
             }
@@ -119,21 +157,21 @@ public:
         if (telemetry::enabled()) {
             auto& tr = telemetry::thread_track();
             tr.begin("event.wait");
-            st_->wait();
-            if (auto id = st_->tel_id.load(std::memory_order_relaxed)) {
+            st->wait(ev_.n);
+            if (auto id = st->tel_id.load(std::memory_order_relaxed)) {
                 tr.flow_end("event", id);
             }
             tr.end("event.wait");
         } else {
-            st_->wait();
+            st->wait(ev_.n);
         }
-        if (devcheck::enabled()) devcheck::Checker::instance().on_host_event_wait(st_->dc);
+        if (devcheck::enabled()) devcheck::Checker::instance().on_host_event_wait(st->dc);
     }
 
 private:
     friend class Queue;
-    explicit Event(std::shared_ptr<detail::EventState> st) : st_(std::move(st)) {}
-    std::shared_ptr<detail::EventState> st_;
+    explicit Event(detail::EventRef ev) : ev_(std::move(ev)) {}
+    detail::EventRef ev_;
 };
 
 /// An in-order asynchronous execution stream over the shared device.
@@ -197,8 +235,8 @@ public:
         // inside the queue's. A flagged conflict throws before the kernel
         // is ever enqueued.
         if (dc_) devcheck::Checker::instance().on_task(dc_.get());
-        std::vector<std::shared_ptr<detail::EventState>> fire;
-        std::shared_ptr<detail::EventState> reg;
+        std::vector<detail::EventRef> fire;
+        detail::EventRef reg;
         std::uint64_t gen = 0;
         {
             std::lock_guard lock(m_);
@@ -239,40 +277,40 @@ public:
 
     /// Record a completion marker after everything currently enqueued.
     [[nodiscard]] Event record_event() {
-        auto st = std::make_shared<detail::EventState>();
-        enqueue_event(st);
-        return Event(std::move(st));
+        detail::EventRef ev{std::make_shared<detail::EventState>(), 1};
+        ev.st->recorded = 1;
+        enqueue_event(ev);
+        return Event(std::move(ev));
     }
 
-    /// Record a completion marker into \p e, reusing its completion state
-    /// when this queue's handle is the only reference left and the marker
-    /// has already fired — the allocation-free variant for steady-state
-    /// loops that re-record the same event every iteration (per-direction
-    /// halo overlap). Falls back to a fresh allocation otherwise.
+    /// Record a completion marker into \p e, re-arming its completion
+    /// state in place when the previous record has completed, whatever
+    /// other references to it remain (they wait for that earlier record,
+    /// which stays complete) — the allocation-free variant for
+    /// steady-state loops that re-record the same event every iteration
+    /// (per-direction halo overlap). Falls back to a fresh allocation
+    /// while the previous record is pending.
     void record_event_into(Event& e) {
-        auto& st = e.st_;
-        if (!st || st.use_count() != 1 || !st->is_done()) {
-            st = std::make_shared<detail::EventState>();
-        } else {
-            // Exclusively ours and fired: no waiter can exist, so the
-            // flag reset cannot race a wait().
-            std::lock_guard lock(st->m);
-            st->done = false;
+        auto& ev = e.ev_;
+        ev.n = ev.st ? ev.st->try_rearm() : 0;
+        if (ev.n == 0) {
+            ev.st = std::make_shared<detail::EventState>();
+            ev.n = ev.st->recorded = 1;
         }
-        enqueue_event(st);
+        enqueue_event(ev);
     }
 
     /// Make every operation enqueued after this call wait until \p e
     /// completes (cross-queue dependency). An empty/completed event is a
     /// no-op barrier.
     void wait_event(const Event& e) {
-        if (!e.st_) {
+        if (!e.ev_.st) {
             if (dc_) devcheck::Checker::instance().on_wait_never_recorded(dc_.get());
             return;
         }
-        if (dc_) devcheck::Checker::instance().on_wait_event(dc_.get(), e.st_->dc);
-        std::vector<std::shared_ptr<detail::EventState>> fire;
-        std::shared_ptr<detail::EventState> reg;
+        if (dc_) devcheck::Checker::instance().on_wait_event(dc_.get(), e.ev_.st->dc);
+        std::vector<detail::EventRef> fire;
+        detail::EventRef reg;
         std::uint64_t gen = 0;
         {
             std::lock_guard lock(m_);
@@ -281,14 +319,14 @@ public:
                 // wait enters this queue's stream.
                 auto* t = tel();
                 t->begin("event.wait");
-                if (auto id = e.st_->tel_id.load(std::memory_order_relaxed)) {
+                if (auto id = e.ev_.st->tel_id.load(std::memory_order_relaxed)) {
                     t->flow_end("event", id);
                 }
                 t->end("event.wait");
             }
             Op* op = acquire();
             op->kind = Kind::wait;
-            op->ev = e.st_;
+            op->ev = e.ev_;
             push(op);
             dispatch(fire);
             reg = take_pending_wait(gen);
@@ -322,12 +360,13 @@ public:
 private:
     enum class Kind : std::uint8_t { kernel, event, wait };
 
-    void enqueue_event(const std::shared_ptr<detail::EventState>& st) {
+    void enqueue_event(const detail::EventRef& ev) {
+        const auto& st = ev.st;
         // Snapshot the queue clock into the event (both the Op path and
         // the idle-queue direct completion mark the same logical point).
         if (dc_) devcheck::Checker::instance().on_record(dc_.get(), st->dc);
-        std::vector<std::shared_ptr<detail::EventState>> fire;
-        std::shared_ptr<detail::EventState> reg;
+        std::vector<detail::EventRef> fire;
+        detail::EventRef reg;
         std::uint64_t gen = 0;
         bool enqueued = false;
         {
@@ -349,7 +388,7 @@ private:
             if (running_ != nullptr || waiting_ != nullptr || head_ != tail_) {
                 Op* op = acquire();
                 op->kind = Kind::event;
-                op->ev = st;
+                op->ev = ev;
                 push(op);
                 dispatch(fire);
                 reg = take_pending_wait(gen);
@@ -357,7 +396,7 @@ private:
             }
         }
         if (!enqueued) {
-            st->set();
+            ev.set();
             return;
         }
         finish_dispatch(fire, reg, gen);
@@ -366,7 +405,7 @@ private:
     struct Op {
         detail::Task task;
         Kind kind = Kind::kernel;
-        std::shared_ptr<detail::EventState> ev;
+        detail::EventRef ev;
         std::uint64_t tel_enqueue_ns = 0; ///< armed runs: stamp at enqueue
     };
 
@@ -411,7 +450,7 @@ private:
     }
 
     void release(Op* op) {
-        op->ev.reset();
+        op->ev.st.reset();
         free_.push_back(op);
     }
 
@@ -431,7 +470,7 @@ private:
     /// complete event markers (collected into \p fire, set after the lock
     /// is released — event callbacks may take other queues' locks), and
     /// park on unsatisfied wait ops.
-    void dispatch(std::vector<std::shared_ptr<detail::EventState>>& fire) {
+    void dispatch(std::vector<detail::EventRef>& fire) {
         while (running_ == nullptr && waiting_ == nullptr && head_ != tail_) {
             Op* op = ring_[head_ % ring_.size()];
             ++head_;
@@ -454,7 +493,7 @@ private:
                 release(op);
                 break;
             case Kind::wait:
-                if (op->ev->is_done()) {
+                if (op->ev.is_done()) {
                     release(op);
                     break;
                 }
@@ -475,9 +514,9 @@ private:
     /// callback on. Must run under m_, in the same critical section as
     /// the dispatch() that parked — a later relock would race queue
     /// destruction on threads that don't own the queue.
-    [[nodiscard]] std::shared_ptr<detail::EventState> take_pending_wait(std::uint64_t& gen) {
+    [[nodiscard]] detail::EventRef take_pending_wait(std::uint64_t& gen) {
         gen = wait_generation_;
-        return std::exchange(pending_wait_, nullptr);
+        return std::exchange(pending_wait_, {});
     }
 
     /// Post-dispatch work that must run *without* m_ and must not touch
@@ -487,10 +526,10 @@ private:
     /// under the lock) and complete event markers. Touching `this` inside
     /// the callback is safe because a parked wait keeps waiting_ set,
     /// which blocks ~Queue's fence until the resume runs.
-    void finish_dispatch(std::vector<std::shared_ptr<detail::EventState>>& fire,
-                         std::shared_ptr<detail::EventState>& reg, std::uint64_t gen) {
-        if (reg) reg->on_done([this, gen] { resume_after_wait(gen); });
-        for (auto& ev : fire) ev->set();
+    void finish_dispatch(std::vector<detail::EventRef>& fire, detail::EventRef& reg,
+                         std::uint64_t gen) {
+        if (reg.st) reg.st->on_done(reg.n, [this, gen] { resume_after_wait(gen); });
+        for (auto& ev : fire) ev.set();
     }
 
     /// Runs on whatever thread completes the awaited event; it may not
@@ -498,8 +537,8 @@ private:
     /// finish_dispatch). The queue is guaranteed alive on entry: the
     /// parked wait op holds waiting_ non-null, which blocks destruction.
     void resume_after_wait(std::uint64_t gen) {
-        std::vector<std::shared_ptr<detail::EventState>> fire;
-        std::shared_ptr<detail::EventState> reg;
+        std::vector<detail::EventRef> fire;
+        detail::EventRef reg;
         std::uint64_t next_gen = 0;
         {
             std::lock_guard lock(m_);
@@ -519,8 +558,8 @@ private:
     /// this thread never touches queue members again (finish_dispatch
     /// only uses the extracted shared states).
     void task_finished(detail::Task* t) {
-        std::vector<std::shared_ptr<detail::EventState>> fire;
-        std::shared_ptr<detail::EventState> reg;
+        std::vector<detail::EventRef> fire;
+        detail::EventRef reg;
         std::uint64_t gen = 0;
         {
             std::lock_guard lock(m_);
@@ -556,7 +595,7 @@ private:
     /// Event whose resume callback still needs registering (set by
     /// dispatch under m_, drained by take_pending_wait in the same
     /// critical section, registered by finish_dispatch outside it).
-    std::shared_ptr<detail::EventState> pending_wait_;
+    detail::EventRef pending_wait_;
 };
 
 } // namespace beatnik::par::device

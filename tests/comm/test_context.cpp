@@ -30,6 +30,27 @@ TEST(ContextFailure, RankExceptionPropagatesWithoutDeadlock) {
                  beatnik::Error);
 }
 
+/// The report names the rank whose failure started the abort, not the
+/// lowest-numbered rank that the abort then unwound.
+TEST(ContextFailure, ReportsTheFirstFailingRank) {
+    bc::ContextConfig cfg;
+    cfg.recv_timeout_seconds = 20.0;
+    try {
+        bc::Context::run(2,
+                         [](bc::Communicator& comm) {
+                             if (comm.rank() == 1) throw std::runtime_error("rank 1 exploded");
+                             // Rank 0 blocks here until rank 1's abort
+                             // unwinds it with an error of its own.
+                             comm.barrier();
+                         },
+                         cfg);
+        FAIL() << "a rank exception must propagate";
+    } catch (const beatnik::Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("rank 1 failed: rank 1 exploded"), std::string::npos) << what;
+    }
+}
+
 TEST(ContextFailure, RecvTimeoutThrowsCommError) {
     bc::ContextConfig cfg;
     cfg.recv_timeout_seconds = 0.2;

@@ -110,12 +110,12 @@ struct StateBytes {
     std::vector<double> w;
 };
 
-std::vector<StateBytes> run_case(b::par::Backend backend, b::Order order, int nranks,
+std::vector<StateBytes> run_case(b::par::Backend backend, const b::Params& params, int nranks,
                                  int steps) {
     ScopedDefaultBackend scoped(backend);
     std::vector<StateBytes> out(static_cast<std::size_t>(nranks));
     run(nranks, [&](bc::Communicator& comm) {
-        b::Solver solver(comm, case_params(order));
+        b::Solver solver(comm, params);
         solver.advance(steps);
         auto& pm = solver.state();
         auto r = static_cast<std::size_t>(comm.rank());
@@ -125,15 +125,34 @@ std::vector<StateBytes> run_case(b::par::Backend backend, b::Order order, int nr
     return out;
 }
 
+/// A free-boundary high-order deck: the ghost bands (corners included)
+/// are filled by extrapolation rather than periodic wrap.
+b::Params free_params(b::BRSolverKind solver) {
+    b::Params p = case_params(b::Order::high);
+    p.boundary = b::Boundary::free;
+    p.br_solver = solver;
+    p.topo_dims = {2, 2}; // every rank owns a corner of the ghost bands
+    return p;
+}
+
 TEST(DeviceResidency, StepsAreBitwiseIdenticalToHostForAllOrders) {
-    for (auto order : {b::Order::low, b::Order::medium, b::Order::high}) {
-        auto host = run_case(b::par::Backend::serial, order, 4, 3);
-        auto device = run_case(b::par::Backend::device, order, 4, 3);
+    struct Case {
+        const char* name;
+        b::Params params;
+    };
+    const Case cases[] = {
+        {"low", case_params(b::Order::low)},
+        {"medium", case_params(b::Order::medium)},
+        {"high", case_params(b::Order::high)},
+        {"high, free boundary, exact", free_params(b::BRSolverKind::exact)},
+        {"high, free boundary, cutoff", free_params(b::BRSolverKind::cutoff)},
+    };
+    for (const auto& c : cases) {
+        auto host = run_case(b::par::Backend::serial, c.params, 4, 3);
+        auto device = run_case(b::par::Backend::device, c.params, 4, 3);
         for (std::size_t r = 0; r < host.size(); ++r) {
-            EXPECT_EQ(host[r].z, device[r].z)
-                << "position diverged, rank " << r << " order " << static_cast<int>(order);
-            EXPECT_EQ(host[r].w, device[r].w)
-                << "vorticity diverged, rank " << r << " order " << static_cast<int>(order);
+            EXPECT_EQ(host[r].z, device[r].z) << "position diverged, rank " << r << ", " << c.name;
+            EXPECT_EQ(host[r].w, device[r].w) << "vorticity diverged, rank " << r << ", " << c.name;
         }
     }
 }
