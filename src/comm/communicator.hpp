@@ -422,37 +422,7 @@ public:
 
     /// All-to-all with per-destination counts. Returns the received
     /// elements grouped by source rank; \p recvcounts_out gets each
-    /// source's element count. A wrapper over alltoallv_each() that
-    /// gathers the blocks into one buffer.
-    template <Transferable T>
-    [[nodiscard]] std::vector<T> alltoallv(std::span<const T> sendbuf,
-                                           std::span<const std::size_t> sendcounts,
-                                           std::vector<std::size_t>& recvcounts_out) {
-        std::vector<T> recvbuf;
-        std::vector<std::size_t> rdispl;
-        alltoallv_each(sendbuf, sendcounts, recvcounts_out,
-                       [&](int from, std::span<const T> block) {
-            if (rdispl.empty()) {
-                // Counts are complete before the first block arrives.
-                rdispl.assign(recvcounts_out.size() + 1, 0);
-                std::partial_sum(recvcounts_out.begin(), recvcounts_out.end(),
-                                 rdispl.begin() + 1);
-                recvbuf.resize(rdispl.back());
-            }
-            std::copy(block.begin(), block.end(),
-                      recvbuf.begin() +
-                          static_cast<std::ptrdiff_t>(rdispl[static_cast<std::size_t>(from)]));
-        });
-        return recvbuf;
-    }
-
-    /// Visitor form of alltoallv: instead of gathering the received blocks
-    /// into one buffer, hands each one — the self block included — to
-    /// `visit(source_rank, std::span<const T> block)` exactly once, in
-    /// arrival order. A block may alias the sender's buffer and is valid
-    /// only for the duration of the call, so consumers unpack in place
-    /// and no receive buffer is ever allocated. \p recvcounts_out holds
-    /// every source's element count before the first visit.
+    /// source's element count.
     ///
     /// All three algorithms are supported. Pairwise and linear discover
     /// receive counts with a fixed-size count exchange first (the common
@@ -463,17 +433,17 @@ public:
     /// agreement costs no extra collective). The Bruck v-variant forwards
     /// per-block counts alongside each round's payload, so it needs no
     /// count pre-exchange at all.
-    template <Transferable T, class Visit>
-    void alltoallv_each(std::span<const T> sendbuf, std::span<const std::size_t> sendcounts,
-                        std::vector<std::size_t>& recvcounts_out, Visit&& visit) {
+    template <Transferable T>
+    [[nodiscard]] std::vector<T> alltoallv(std::span<const T> sendbuf,
+                                           std::span<const std::size_t> sendcounts,
+                                           std::vector<std::size_t>& recvcounts_out) {
         const int p = size();
         BEATNIK_REQUIRE(static_cast<int>(sendcounts.size()) == p,
                         "alltoallv: sendcounts size != communicator size");
         std::size_t total = std::accumulate(sendcounts.begin(), sendcounts.end(), std::size_t{0});
         BEATNIK_REQUIRE(sendbuf.size() == total, "alltoallv: send buffer size != sum of counts");
         if (alltoall_algo_ == AlltoallAlgo::bruck) {
-            alltoallv_bruck(sendbuf, sendcounts, recvcounts_out, visit);
-            return;
+            return alltoallv_bruck(sendbuf, sendcounts, recvcounts_out);
         }
 
         // Rendezvous is per-block (each block at or above the threshold is
@@ -514,6 +484,14 @@ public:
             return sendbuf.subspan(sdispl[static_cast<std::size_t>(dst)],
                                    sendcounts[static_cast<std::size_t>(dst)]);
         };
+        std::vector<std::size_t> rdispl(static_cast<std::size_t>(p) + 1, 0);
+        std::partial_sum(recvcounts_out.begin(), recvcounts_out.end(), rdispl.begin() + 1);
+        std::vector<T> recvbuf(rdispl.back());
+        auto place = [&](int from, std::span<const T> block) {
+            std::copy(block.begin(), block.end(),
+                      recvbuf.begin() +
+                          static_cast<std::ptrdiff_t>(rdispl[static_cast<std::size_t>(from)]));
+        };
 
         const int tag = next_collective_tag(kTagAlltoallv);
         auto send_block = [&](int dst) {
@@ -527,7 +505,7 @@ public:
             int from = m.status.source;
             BEATNIK_REQUIRE(incoming.size() == recvcounts_out[static_cast<std::size_t>(from)],
                             "alltoallv: received block size mismatch");
-            visit(from, incoming);
+            place(from, incoming);
         };
 
         switch (alltoall_algo_) {
@@ -537,13 +515,13 @@ public:
             // consumed while the posted blocks are in flight.
             for (int r = 0; r < p; ++r)
                 if (r != rank_) send_block(r);
-            visit(rank_, block_for(rank_));
+            place(rank_, block_for(rank_));
             for (int r = 0; r < p; ++r)
                 if (r != rank_) recv_block(any_source);
             break;
         case AlltoallAlgo::pairwise:
             // Pairwise exchange: structured rounds, one partner at a time.
-            visit(rank_, block_for(rank_));
+            place(rank_, block_for(rank_));
             for (int step = 1; step < p; ++step) {
                 int dst = (rank_ + step) % p;
                 int src = (rank_ - step + p) % p;
@@ -558,6 +536,7 @@ public:
         // Aliased blocks point into the caller's sendbuf; hold every rank
         // here until all reads have finished.
         if (any_alias) barrier();
+        return recvbuf;
     }
 
     /// Inclusive prefix reduction: rank r returns op over ranks 0..r.
@@ -617,6 +596,11 @@ public:
     /// (leak/exhaustion checks: a plan rebuild cycle must consume exactly
     /// the tags its plans draw).
     [[nodiscard]] int plan_tags_used() const { return plan_seq_; }
+
+    /// Collectives this communicator has run so far (each draws one tag
+    /// from the collective sequence; a test can assert that a code path
+    /// ran none).
+    [[nodiscard]] int collectives_issued() const { return collective_seq_; }
 
     /// Context (world) rank of communicator rank \p r.
     [[nodiscard]] int world_rank_of(int r) const {
@@ -871,9 +855,10 @@ private:
     /// the same tag; per-(src, tag) FIFO keeps the pair ordered). Receive
     /// counts fall out of the final block sizes, so no count pre-exchange
     /// is needed.
-    template <Transferable T, class Visit>
-    void alltoallv_bruck(std::span<const T> sendbuf, std::span<const std::size_t> sendcounts,
-                         std::vector<std::size_t>& recvcounts_out, Visit& visit) {
+    template <Transferable T>
+    std::vector<T> alltoallv_bruck(std::span<const T> sendbuf,
+                                   std::span<const std::size_t> sendcounts,
+                                   std::vector<std::size_t>& recvcounts_out) {
         const int p = size();
         const int tag = next_collective_tag(kTagAlltoallv);
         std::vector<std::size_t> sdispl(static_cast<std::size_t>(p) + 1, 0);
@@ -926,19 +911,21 @@ private:
             BEATNIK_REQUIRE(off == indata.size(), "bruckv: payload not fully consumed");
         }
         // Phase 3: inverse rotation — slot i now holds the block sent to
-        // us by rank (rank - i + p) % p; hand them out in source-rank
-        // order once every count is known.
+        // us by rank (rank - i + p) % p; concatenate in source-rank order.
         auto slot_of = [&](int origin) -> const std::vector<T>& {
             return slot[static_cast<std::size_t>((rank_ - origin + p) % p)];
         };
         recvcounts_out.resize(static_cast<std::size_t>(p));
+        std::size_t total_in = 0;
         for (int origin = 0; origin < p; ++origin) {
-            recvcounts_out[static_cast<std::size_t>(origin)] = slot_of(origin).size();
+            total_in += recvcounts_out[static_cast<std::size_t>(origin)] = slot_of(origin).size();
         }
+        std::vector<T> recvbuf;
+        recvbuf.reserve(total_in);
         for (int origin = 0; origin < p; ++origin) {
-            const auto& s = slot_of(origin);
-            visit(origin, std::span<const T>(s.data(), s.size()));
+            recvbuf.insert(recvbuf.end(), slot_of(origin).begin(), slot_of(origin).end());
         }
+        return recvbuf;
     }
 #pragma GCC diagnostic pop
 

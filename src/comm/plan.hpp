@@ -25,6 +25,19 @@
 /// order through a per-plan ready ring, so unpacking one message overlaps
 /// the delivery of the rest.
 ///
+/// Slot sets: patterns that run strictly one after another (the four
+/// reshapes of a distributed FFT) can share one plan. The builder
+/// declares each pattern's subset of slots with add_set(), every slot
+/// bound once at the largest message any of its sets carries, and
+/// start(set) opens an iteration over that subset only: its sends may
+/// publish, wait_any_recv() completes after its recvs, and an arrival on
+/// any other slot (a peer that already raced into the next set) is
+/// deferred to a later start() like any early arrival. One in-flight
+/// message per channel keeps the order: the k-th message on a channel
+/// belongs to the k-th set that holds the channel on both ranks. The
+/// sets are fixed at build, so plancheck still matches every slot
+/// statically, and a blocked wait registers only the active set's slots.
+///
 /// Plans must be built collectively (every rank builds the matching plan)
 /// and iterations are collective in the usual loose sense: every
 /// participant eventually starts its iteration. A plan should finish its
@@ -86,12 +99,20 @@ public:
             return static_cast<int>(recvs_.size()) - 1;
         }
 
+        /// Declare a slot set: the send and recv slots (indices returned
+        /// by add_send()/add_recv()) that start(set) runs as one
+        /// iteration. Returns the set index.
+        int add_set(std::vector<int> sends, std::vector<int> recvs) {
+            sets_.push_back({std::move(sends), std::move(recvs)});
+            return static_cast<int>(sets_.size()) - 1;
+        }
+
         /// Finalize. The (defaulted) source location is the plan's build
         /// site in plancheck diagnostics. Registration runs *after* the
         /// plan is fully constructed, so a verification error unwinds
         /// through ~Plan and the channels detach cleanly.
         [[nodiscard]] Plan build(std::source_location site = std::source_location::current()) {
-            Plan p(*comm_, std::move(sends_), std::move(recvs_));
+            Plan p(*comm_, std::move(sends_), std::move(recvs_), std::move(sets_));
             p.plancheck_register(site);
             return p;
         }
@@ -104,6 +125,10 @@ public:
             std::size_t max_bytes;
             RecvCallback on_message;
         };
+        struct SlotSet {
+            std::vector<int> sends;
+            std::vector<int> recvs;
+        };
         static void check_tag(int tag) {
             BEATNIK_REQUIRE(tags::is_plan(tag),
                             "plan slots must use tags from the reserved plan band");
@@ -112,6 +137,7 @@ public:
         Communicator* comm_;
         std::vector<SlotSpec> sends_;
         std::vector<SlotSpec> recvs_;
+        std::vector<SlotSet> sets_;
     };
 
     static Builder builder(Communicator& comm) { return Builder(comm); }
@@ -134,21 +160,32 @@ public:
     [[nodiscard]] int num_sends() const { return static_cast<int>(state().sends.size()); }
     [[nodiscard]] int num_recvs() const { return static_cast<int>(state().recvs.size()); }
 
-    /// Open an iteration: release every recv slot still held from the
+    /// Open an iteration over every slot, or over slot set \p set only
+    /// (Builder::add_set): release every recv slot still held from the
     /// previous iteration and reset per-iteration bookkeeping. The
-    /// previous iteration must have completed (all recvs consumed).
+    /// previous iteration must have completed (all its recvs consumed).
     /// Arrivals observed early (a peer already one iteration ahead) are
     /// re-enqueued so this iteration consumes them in arrival order.
-    void start() {
+    void start(int set = -1) {
         State& st = state();
         telemetry::Scope span("plan.start");
-        BEATNIK_REQUIRE(!st.started || st.consumed == st.recvs.size(),
+        BEATNIK_REQUIRE(!st.started || st.consumed == st.active_recvs,
                         "Plan::start: previous iteration still has pending receives");
+        BEATNIK_REQUIRE(set >= -1 && set < static_cast<int>(st.sets.size()),
+                        "Plan::start: slot set index out of range");
+        const bool all = set < 0;
         for (std::size_t s = 0; s < st.recvs.size(); ++s) {
             if (st.recv_state[s] == RecvState::arrived) release_slot(static_cast<int>(s));
-            st.recv_state[s] = RecvState::idle;
+            st.recv_state[s] = all ? RecvState::idle : RecvState::inactive;
         }
-        for (std::size_t s = 0; s < st.sends.size(); ++s) st.send_acquired[s] = false;
+        st.send_state.assign(st.sends.size(), all ? SendState::idle : SendState::inactive);
+        st.active_recvs = st.recvs.size();
+        if (!all) {
+            const auto& members = st.sets[static_cast<std::size_t>(set)];
+            for (int s : members.sends) st.send_state[static_cast<unsigned>(s)] = SendState::idle;
+            for (int s : members.recvs) st.recv_state[static_cast<unsigned>(s)] = RecvState::idle;
+            st.active_recvs = members.recvs.size();
+        }
         st.consumed = 0;
         st.started = true;
         if (!st.deferred.empty()) {
@@ -166,6 +203,8 @@ public:
     [[nodiscard]] std::span<std::byte> send_buffer(int s, std::size_t bytes) {
         State& st = state();
         auto& slot = st.sends[check_send(s)];
+        BEATNIK_REQUIRE(st.send_state[static_cast<std::size_t>(s)] != SendState::inactive,
+                        "Plan::send_buffer: send slot is not in this iteration's slot set");
         // The rendezvous can block until the receiver releases the
         // previous message — a wait-for edge for the deadlock detector.
         const plancheck::Await edge{
@@ -173,7 +212,7 @@ public:
             {st.comm->comm_id(), st.self_world, slot.peer_world, slot.tag}};
         plancheck::BlockedScope pblock(pcheck(st), st.self_world, {&edge, 1});
         auto buf = slot.channel->transport->acquire_send(*slot.channel, bytes, st.wait);
-        st.send_acquired[static_cast<std::size_t>(s)] = true;
+        st.send_state[static_cast<std::size_t>(s)] = SendState::acquired;
         return buf;
     }
 
@@ -186,9 +225,9 @@ public:
             // state below is touched.
             cs->note_published({st.comm->comm_id(), st.self_world, slot.peer_world, slot.tag});
         }
-        BEATNIK_REQUIRE(st.send_acquired[static_cast<std::size_t>(s)],
+        BEATNIK_REQUIRE(st.send_state[static_cast<std::size_t>(s)] == SendState::acquired,
                         "Plan::publish: slot was not acquired with send_buffer()");
-        st.send_acquired[static_cast<std::size_t>(s)] = false;
+        st.send_state[static_cast<std::size_t>(s)] = SendState::idle;
         auto& ch = *slot.channel;
         // Unconditional so the receiver's con_seq stays in lockstep even
         // across arm/disarm (see PlanChannel).
@@ -216,14 +255,14 @@ public:
     }
 
     /// Block until some recv slot of this iteration completes and return
-    /// its index (arrival order, each slot exactly once per iteration);
-    /// -1 once every slot has been returned. Fires the slot's on_message
-    /// callback, if registered. The slot's bytes stay readable through
-    /// recv_view() until release_recv() or the next start().
+    /// its index (arrival order, each slot of the iteration's set exactly
+    /// once); -1 once every such slot has been returned. Fires the slot's
+    /// on_message callback, if registered. The slot's bytes stay readable
+    /// through recv_view() until release_recv() or the next start().
     int wait_any_recv() {
         State& st = state();
         for (;;) {
-            if (st.consumed == st.recvs.size()) return -1;
+            if (st.consumed == st.active_recvs) return -1;
             int s;
             // Span covers only the obtain-a-slot part (spin or block); the
             // consume below records its own span, so per-track timestamps
@@ -267,9 +306,9 @@ public:
                 s = st.ready.pop_locked();
             }
             span.close(blocked ? 1 : 0, static_cast<std::uint64_t>(s));
-            // An arrival for a slot already handled this iteration belongs
-            // to the *next* iteration (the peer raced ahead); stash it for
-            // the next start().
+            // An arrival for a slot already handled this iteration, or
+            // outside its slot set, belongs to a later iteration (the peer
+            // raced ahead); stash it for the next start().
             if (st.recv_state[static_cast<std::size_t>(s)] != RecvState::idle) {
                 st.deferred.push_back(s);
                 continue;
@@ -298,7 +337,7 @@ public:
             }
             consume(s);
         }
-        return st.consumed == st.recvs.size();
+        return st.consumed == st.active_recvs;
     }
 
     /// Drain every remaining receive of the iteration.
@@ -385,7 +424,9 @@ private:
         idle,       ///< not yet arrived this iteration
         arrived,    ///< consumed from the ready ring, bytes readable
         released,   ///< handed back to the sender
+        inactive,   ///< not in this iteration's slot set
     };
+    enum class SendState : std::uint8_t { idle, acquired, inactive };
 
     struct Slot {
         std::shared_ptr<detail::PlanChannel> channel;
@@ -402,14 +443,16 @@ private:
         int self_world = 0;
         std::vector<Slot> sends;
         std::vector<Slot> recvs;
-        std::vector<bool> send_acquired;
+        std::vector<Builder::SlotSet> sets;
+        std::vector<SendState> send_state;
         std::vector<RecvState> recv_state;
+        std::size_t active_recvs = 0;   ///< recv slots in this iteration's set
         std::size_t consumed = 0;   ///< recv slots consumed this iteration
         bool started = false;
         detail::ReadyRing ready;
-        /// Early arrivals (peer one iteration ahead), re-enqueued at the
-        /// next start(). reserve()d to nrecvs at build — at most one early
-        /// arrival per slot can exist, so pushes never allocate.
+        /// Early arrivals (peer one iteration or set ahead), re-enqueued
+        /// at the next start(). reserve()d to nrecvs at build — at most one
+        /// early arrival per slot can exist, so pushes never allocate.
         std::vector<int> deferred;
         TransportWait wait;              ///< abort/timeout/spin policy for blocking ops
         std::shared_ptr<ChannelRegistry> registry;   ///< keeps detach safe past context death
@@ -433,9 +476,23 @@ private:
     };
 
     Plan(Communicator& comm, std::vector<Builder::SlotSpec> sends,
-         std::vector<Builder::SlotSpec> recvs)
+         std::vector<Builder::SlotSpec> recvs, std::vector<Builder::SlotSet> sets)
         : st_(std::make_unique<State>(recvs.size())) {
         State& st = *st_;
+        auto check_members = [](const std::vector<int>& members, std::size_t nslots) {
+            std::vector<bool> seen(nslots, false);
+            for (int s : members) {
+                BEATNIK_REQUIRE(s >= 0 && static_cast<std::size_t>(s) < nslots &&
+                                    !seen[static_cast<std::size_t>(s)],
+                                "Plan: slot set names an unknown or repeated slot");
+                seen[static_cast<std::size_t>(s)] = true;
+            }
+        };
+        for (const auto& set : sets) {
+            check_members(set.sends, sends.size());
+            check_members(set.recvs, recvs.size());
+        }
+        st.sets = std::move(sets);
         st.comm = &comm;
         st.self_world = comm.world_rank();
         st.wait.timeout_seconds = comm.context().config().recv_timeout_seconds;
@@ -478,9 +535,10 @@ private:
             note_band(spec.tag);
             st.sends.push_back(std::move(slot));
         }
-        st.send_acquired.assign(st.sends.size(), false);
+        st.send_state.assign(st.sends.size(), SendState::idle);
         st.recvs.reserve(recvs.size());
         st.recv_state.assign(recvs.size(), RecvState::idle);
+        st.active_recvs = recvs.size();
         for (std::size_t s = 0; s < recvs.size(); ++s) {
             auto& spec = recvs[s];
             Slot slot;

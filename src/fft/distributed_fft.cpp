@@ -44,7 +44,13 @@ DistributedFFT2D::DistributedFFT2D(comm::Communicator& comm, std::array<int, 2> 
       to_stage1_(comm.rank(), plan.bricks, plan.stage1),
       stage1_to_stage2_(comm.rank(), plan.stage1, plan.stage2),
       stage2_to_stage1_(comm.rank(), plan.stage2, plan.stage1),
-      stage1_to_brick_(comm.rank(), plan.stage1, plan.bricks) {}
+      stage1_to_brick_(comm.rank(), plan.stage1, plan.bricks) {
+    // Slot set k of the shared plan is reshape k, in execution order.
+    for (const ReshapePlan* rp : {&to_stage1_, &stage1_to_stage2_, &stage2_to_stage1_,
+                                  &stage1_to_brick_}) {
+        (void)channels_.add(rp->sends(), rp->recvs());
+    }
+}
 
 void DistributedFFT2D::transform_stage(std::vector<cplx>& data, const Stage& stage, bool inverse,
                                        int components) {
@@ -84,10 +90,7 @@ void DistributedFFT2D::enable_device(par::device::Queue& q) {
     work_.reserve(stage1_.layout.size());
     pin_allocation(work_, pinned_work_);
     device_ = true;
-    for (ReshapePlan* rp : {&to_stage1_, &stage1_to_stage2_, &stage2_to_stage1_,
-                            &stage1_to_brick_}) {
-        rp->enable_device(q);
-    }
+    channels_.enable_device(q);
 }
 
 void DistributedFFT2D::reserve_stage1(int components) {
@@ -109,10 +112,11 @@ void DistributedFFT2D::to_spectral(std::vector<cplx>& data, int components) {
                     "to_spectral: data size is not components x brick size");
     const bool a2a = config_.use_alltoall;
     reserve_stage1(components);
-    to_stage1_.execute(*comm_, brick_layout_, data, stage1_.layout, work_, a2a, components);
+    to_stage1_.execute(channels_, 0, *comm_, brick_layout_, data, stage1_.layout, work_, a2a,
+                       components);
     transform_stage(work_, stage1_, /*inverse=*/false, components);
-    stage1_to_stage2_.execute(*comm_, stage1_.layout, work_, stage2_.layout, data, a2a,
-                              components);
+    stage1_to_stage2_.execute(channels_, 1, *comm_, stage1_.layout, work_, stage2_.layout, data,
+                              a2a, components);
     transform_stage(data, stage2_, /*inverse=*/false, components);
 }
 
@@ -125,11 +129,11 @@ void DistributedFFT2D::from_spectral(std::vector<cplx>& data, int components) {
     const bool a2a = config_.use_alltoall;
     transform_stage(data, stage2_, /*inverse=*/true, components);
     reserve_stage1(components);
-    stage2_to_stage1_.execute(*comm_, stage2_.layout, data, stage1_.layout, work_, a2a,
-                              components);
+    stage2_to_stage1_.execute(channels_, 2, *comm_, stage2_.layout, data, stage1_.layout, work_,
+                              a2a, components);
     transform_stage(work_, stage1_, /*inverse=*/true, components);
-    stage1_to_brick_.execute(*comm_, stage1_.layout, work_, brick_layout_, data, a2a,
-                             components);
+    stage1_to_brick_.execute(channels_, 3, *comm_, stage1_.layout, work_, brick_layout_, data,
+                             a2a, components);
 }
 
 std::vector<PlannedPhase> DistributedFFT2D::plan_schedule(std::array<int, 2> global,

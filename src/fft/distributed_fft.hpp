@@ -2,8 +2,9 @@
 /// \brief Distributed 2D complex FFT over a brick-decomposed array — the
 /// heFFTe stand-in, including its three tuning knobs (paper Table 1):
 ///
-///   * AllToAll — reshapes run through the alltoallv collective (true) or
-///     an explicit point-to-point message list (false);
+///   * AllToAll — every reshape exchanges with every peer, empty blocks
+///     included, in pairwise rounds (true), or only with the peers its
+///     boxes overlap (false);
 ///   * Pencils  — intermediate stages are generic 1D pencil partitions
 ///     over all P ranks (true) or brick-aligned band partitions whose
 ///     first/last reshapes stay inside row/column subgroups (false);
@@ -27,7 +28,11 @@
 /// back to back, each in the layout of the current stage
 /// (component-major), and every reshape moves all components of a
 /// transfer rectangle as one message. A batch of k components costs the
-/// messages of one transform, and a round trip costs 4 reshapes.
+/// messages of one transform, and a round trip costs 4 reshapes. The four
+/// reshapes run as the slot sets of one persistent comm::Plan, each slot
+/// bound at the largest rectangle any of them moves to or from its peer
+/// (fft/plan_cache.hpp), so the transform holds one set of channel
+/// buffers, whatever the configuration.
 /// Transforms are unnormalized forward, 1/(N0*N1) inverse.
 #pragma once
 
@@ -101,12 +106,11 @@ public:
     void from_spectral(std::vector<cplx>& data, int components);
 
     /// Route the reshape staging through the device: the persistent stage-1
-    /// buffer is pinned over its whole allocation, and the
-    /// p2p reshapes pack/unpack with device kernels straight into the
-    /// pinned plan transport buffers (ReshapePlan::enable_device). The
-    /// caller's transform arrays must be pinned too. The butterflies stay
-    /// host compute over the pinned lines — the cuFFT seam on real
-    /// hardware. The alltoall configurations keep host staging. The
+    /// buffer is pinned over its whole allocation, and the reshapes
+    /// pack/unpack with device kernels straight into the pinned plan
+    /// transport buffers, in every configuration. The caller's transform
+    /// arrays must be pinned too. The butterflies stay host compute over
+    /// the pinned lines — the cuFFT seam on real hardware. The
     /// caller's array changes size between the brick and spectral
     /// layouts, so its capacity must cover both before it is pinned
     /// (resizing within capacity keeps the pinned range in place).
@@ -169,6 +173,9 @@ private:
     // Inverse-path reshapes (the reverse route).
     ReshapePlan stage2_to_stage1_;
     ReshapePlan stage1_to_brick_;
+    // The one plan all four reshapes run on, as slot sets 0..3 in the
+    // order above.
+    detail::ReshapeChannels channels_;
     // Persistent stage-1 buffer (components x stage-1 size): sized on the
     // first transform, reused by every subsequent one (reshape outputs
     // resize() into it without a zero-fill pass). Under enable_device its

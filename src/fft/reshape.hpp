@@ -3,21 +3,23 @@
 ///
 /// This is the heart of the heFFTe substitute: like heFFTe, a reshape is
 /// planned by intersecting every source box with every destination box,
-/// producing per-pair transfer rectangles. Execution either goes through
-/// the alltoallv collective (the `AllToAll=true` configuration, which
-/// inherits the communicator's zero-copy rendezvous path for large
-/// blocks) or through a persistent comm::Plan touching only overlapping
-/// peers (`AllToAll=false`, heFFTe's custom p2p path): the plan is bound
-/// on first execution, packs rectangles straight into pre-registered
-/// channel buffers, and unpacks arrivals in completion order — no
-/// per-sweep staging allocation and real send/recv overlap. A reshape can
+/// producing per-pair transfer rectangles. Execution runs on persistent
+/// comm::Plan channels (fft/plan_cache.hpp) for both values of the
+/// AllToAll knob: the p2p path (`AllToAll=false`, heFFTe's custom path)
+/// exchanges with overlapping peers only, the alltoall path
+/// (`AllToAll=true`) with every peer, empty blocks included, in pairwise
+/// order. Rectangles pack straight into the pre-registered channel
+/// buffers and unpack in completion order — no per-sweep staging
+/// allocation, no collective and real send/recv overlap. A reshape can
 /// carry several stacked component arrays at once: each transfer
 /// rectangle then moves all components as one message (component-major
 /// wire order), so a batch pays the message count of a single array.
 ///
 /// DistributedFFT2D holds four of these: brick -> stage 1 -> stage 2 for
-/// to_spectral() and the reverse route for from_spectral(). They are the
-/// transform's only communication.
+/// to_spectral() and the reverse route for from_spectral(), run as the
+/// four slot sets of one shared plan. They are the transform's only
+/// communication. A standalone execute() runs on a one-set plan of the
+/// reshape's own.
 ///
 /// The plan itself is communication-free and can be built for any rank
 /// count — the scaling benchmarks build P=1024 plans and feed their
@@ -61,20 +63,16 @@ public:
     [[nodiscard]] const std::vector<Transfer>& sends() const { return sends_; }
     [[nodiscard]] const std::vector<Transfer>& recvs() const { return recvs_; }
 
-    /// Switch the p2p path to device staging: the persistent plan's
-    /// transport buffers are pinned at bind, rectangle packs/unpacks run
-    /// as kernels on \p q (so `in`/`out` must be device-accessible —
-    /// pinned host ranges in practice), and each send publishes on its
-    /// own pack-completion event, overlapping pack with communication.
-    /// The alltoall path is unaffected (host code reads the pinned
-    /// buffers directly). Safe to call after host sweeps already bound
-    /// the plan: the existing binding is pinned in place.
-    void enable_device(par::device::Queue& q) {
-        p2p_->queue = &q;
-        if (p2p_->plan.has_value()) p2p_->setup_device();
-    }
+    /// Switch this reshape's standalone execute() to device staging: the
+    /// plan's transport buffers are pinned at bind, rectangle
+    /// packs/unpacks run as kernels on \p q (so `in`/`out` must be
+    /// device-accessible — pinned host ranges in practice), and each send
+    /// publishes on its own pack-completion event, overlapping pack with
+    /// communication. Safe to call after host sweeps already bound the
+    /// plan: the existing binding is pinned in place.
+    void enable_device(par::device::Queue& q) { own().enable_device(q); }
 
-    [[nodiscard]] bool device_enabled() const { return p2p_->queue != nullptr; }
+    [[nodiscard]] bool device_enabled() const { return own_ != nullptr && own_->queue != nullptr; }
 
     /// Execute the reshape of \p components stacked arrays at once. \p in
     /// holds the components back to back, each in \p src layout; \p out
@@ -83,10 +81,19 @@ public:
     /// component-major wire order (component 0's rectangle in canonical
     /// i-major order, then component 1's, ...), so a batched reshape costs
     /// the message count of a single one. \p use_alltoall selects the
-    /// collective path vs the persistent-plan p2p path.
+    /// alltoall semantics (every peer, pairwise) vs the p2p ones
+    /// (overlapping peers). Runs on a one-set plan of this reshape's own.
     void execute(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
                  const Layout2D& dst, std::vector<cplx>& out, bool use_alltoall,
                  int components = 1) const {
+        execute(own(), 0, comm, src, in, dst, out, use_alltoall, components);
+    }
+
+    /// Execute as slot set \p set of \p channels, which registered this
+    /// reshape's transfer lists under that index (ReshapeChannels::add).
+    void execute(detail::ReshapeChannels& channels, int set, comm::Communicator& comm,
+                 const Layout2D& src, std::span<const cplx> in, const Layout2D& dst,
+                 std::vector<cplx>& out, bool use_alltoall, int components) const {
         telemetry::Scope span("fft.reshape", in.size_bytes(), use_alltoall ? 1 : 0);
         BEATNIK_REQUIRE(components >= 1, "reshape: component count must be positive");
         const auto n = static_cast<std::size_t>(components);
@@ -98,141 +105,35 @@ public:
         BEATNIK_ASSERT(recv_coverage_ == dst.size(),
                        "reshape: recv boxes do not cover the destination layout");
         out.resize(n * dst.size());
-        if (use_alltoall) {
-            execute_alltoall(comm, src, in, dst, out, n);
-        } else {
-            execute_p2p(comm, src, in, dst, out, n);
-        }
+        channels.bind(comm, n, use_alltoall);
+        sweep(channels, set, comm.rank(), src, in.data(), dst, out.data(), n);
     }
 
 private:
-    /// Append a transfer rectangle of each of the \p n components of
-    /// \p in to \p buf, component-major, each in canonical (i-major)
-    /// order.
-    static void pack(const Layout2D& src, std::span<const cplx> in, const Box2D& box,
-                     std::size_t n, std::vector<cplx>& buf) {
-        for (std::size_t c = 0; c < n; ++c) {
-            const cplx* comp = in.data() + c * src.size();
+    /// A rectangle in a transport slot: each component's rectangle in
+    /// canonical (i-major) order, component after component — the
+    /// j-fastest layout of the rectangle itself.
+    static Layout2D wire(const Box2D& box) { return {box, 1}; }
+
+    /// Copy \p box of each of the \p n components stacked in layout
+    /// \p fl at \p from to layout \p tl at \p to. Packs (to a wire()
+    /// layout), unpacks (from one) and the self rectangle are all this
+    /// copy; between j-fastest layouts each box row moves as one block.
+    static void copy_box(const Layout2D& fl, const cplx* from, const Layout2D& tl, cplx* to,
+                         const Box2D& box, std::size_t n) {
+        const auto row = static_cast<std::size_t>(box.j.extent());
+        for (std::size_t c = 0; c < n; ++c, from += fl.size(), to += tl.size()) {
             for (int i = box.i.begin; i < box.i.end; ++i) {
+                if (fl.fast_axis == 1 && tl.fast_axis == 1) {
+                    std::copy_n(from + fl.offset(i, box.j.begin), row,
+                                to + tl.offset(i, box.j.begin));
+                    continue;
+                }
                 for (int j = box.j.begin; j < box.j.end; ++j) {
-                    buf.push_back(comp[src.offset(i, j)]);
+                    to[tl.offset(i, j)] = from[fl.offset(i, j)];
                 }
             }
         }
-    }
-
-    /// Pack directly into caller-provided storage (the plan's transport
-    /// buffer) — no staging vector. In the common j-fastest layout the
-    /// wire order matches memory order, so each box row moves as one
-    /// block copy.
-    static void pack_into(const Layout2D& src, std::span<const cplx> in, const Box2D& box,
-                          std::size_t n, cplx* out) {
-        const std::size_t row = static_cast<std::size_t>(box.j.extent());
-        for (std::size_t c = 0; c < n; ++c) {
-            const cplx* comp = in.data() + c * src.size();
-            if (src.fast_axis == 1) {
-                for (int i = box.i.begin; i < box.i.end; ++i, out += row) {
-                    std::copy_n(comp + src.offset(i, box.j.begin), row, out);
-                }
-                continue;
-            }
-            for (int i = box.i.begin; i < box.i.end; ++i) {
-                for (int j = box.j.begin; j < box.j.end; ++j) *out++ = comp[src.offset(i, j)];
-            }
-        }
-    }
-
-    /// Copy a rectangle of each of the \p n components straight from
-    /// layout \p src of \p in to layout \p dst of \p out: the self
-    /// rectangle of a host p2p sweep, which never touches a wire buffer.
-    static void copy_box(const Layout2D& src, std::span<const cplx> in, const Layout2D& dst,
-                         std::vector<cplx>& out, const Box2D& box, std::size_t n) {
-        const std::size_t row = static_cast<std::size_t>(box.j.extent());
-        for (std::size_t c = 0; c < n; ++c) {
-            const cplx* from = in.data() + c * src.size();
-            cplx* to = out.data() + c * dst.size();
-            if (src.fast_axis == 1 && dst.fast_axis == 1) {
-                for (int i = box.i.begin; i < box.i.end; ++i) {
-                    std::copy_n(from + src.offset(i, box.j.begin), row,
-                                to + dst.offset(i, box.j.begin));
-                }
-                continue;
-            }
-            for (int i = box.i.begin; i < box.i.end; ++i) {
-                for (int j = box.j.begin; j < box.j.end; ++j) {
-                    to[dst.offset(i, j)] = from[src.offset(i, j)];
-                }
-            }
-        }
-    }
-
-    /// Inverse of pack_into: \p n components of wire-order \p buf into
-    /// layout \p dst of \p out.
-    static void unpack(const Layout2D& dst, std::vector<cplx>& out, const Box2D& box,
-                       std::size_t n, std::span<const cplx> buf) {
-        const std::size_t row = static_cast<std::size_t>(box.j.extent());
-        const cplx* wire = buf.data();
-        for (std::size_t c = 0; c < n; ++c) {
-            cplx* comp = out.data() + c * dst.size();
-            if (dst.fast_axis == 1) {
-                for (int i = box.i.begin; i < box.i.end; ++i, wire += row) {
-                    std::copy_n(wire, row, comp + dst.offset(i, box.j.begin));
-                }
-                continue;
-            }
-            for (int i = box.i.begin; i < box.i.end; ++i) {
-                for (int j = box.j.begin; j < box.j.end; ++j) comp[dst.offset(i, j)] = *wire++;
-            }
-        }
-    }
-
-    /// The collective path: one packed send buffer, and each received
-    /// block (the self block included) unpacked straight out of the
-    /// transport as alltoallv_each() hands it over — no receive buffer.
-    void execute_alltoall(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
-                          const Layout2D& dst, std::vector<cplx>& out, std::size_t n) const {
-        const int p = comm.size();
-        std::vector<std::size_t> sendcounts(static_cast<std::size_t>(p), 0);
-        std::vector<cplx> packed;
-        packed.reserve(in.size());
-        // sends_ is ordered by peer, matching alltoallv's block order.
-        for (const auto& t : sends_) {
-            sendcounts[static_cast<std::size_t>(t.peer)] = n * t.box.size();
-            pack(src, in, t.box, n, packed);
-        }
-        std::vector<std::size_t> recvcounts;
-        std::size_t consumed = 0;
-        comm.alltoallv_each(
-            std::span<const cplx>(packed), std::span<const std::size_t>(sendcounts), recvcounts,
-            [&](int from, std::span<const cplx> block) {
-                if (block.empty()) return;
-                // recvs_ is ordered by peer too.
-                auto t = std::lower_bound(
-                    recvs_.begin(), recvs_.end(), from,
-                    [](const Transfer& tr, int peer) { return tr.peer < peer; });
-                BEATNIK_REQUIRE(t != recvs_.end() && t->peer == from &&
-                                    block.size() == n * t->box.size(),
-                                "reshape: unexpected block size from peer");
-                unpack(dst, out, t->box, n, block);
-                consumed += block.size();
-            });
-        BEATNIK_REQUIRE(consumed == out.size(), "reshape: received data not fully consumed");
-    }
-
-    void execute_p2p(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
-                     const Layout2D& dst, std::vector<cplx>& out, std::size_t n) const {
-        if (p2p_->queue != nullptr) {
-            execute_p2p_device(comm, src, in, dst, out, n);
-            return;
-        }
-        // heFFTe's custom path: only overlapping peers exchange messages,
-        // through persistent pre-matched channels (see plan_cache.hpp).
-        p2p_->execute(
-            comm, sends_, recvs_, n,
-            [&](const Box2D& box, cplx* slot) { pack_into(src, in, box, n, slot); },
-            [&](const Box2D& box) { copy_box(src, in, dst, out, box, n); },
-            [&](const Box2D& box, std::span<const cplx> data) { unpack(dst, out, box, n, data); },
-            "reshape: unexpected p2p block size");
     }
 
     /// devcheck footprint of \p box across \p n components of layout
@@ -247,137 +148,122 @@ private:
         return {base + first, (last - first + 1) * sizeof(cplx), is_write};
     }
 
-    /// Device-kernel copy of a box of \p n components from layout \p src
-    /// in \p in to the component-major wire order at \p slot: one kernel,
-    /// one work item per (component, box row).
-    static void device_pack_box(par::device::Queue& q, const Layout2D& src, const cplx* in,
-                                const Box2D& box, std::size_t n, cplx* slot) {
-        const int ib = box.i.begin;
-        const int jb = box.j.begin;
-        const int rowlen = box.j.extent();
+    /// copy_box() on the host, or as one kernel on \p q (one work item
+    /// per component and box row) when device staging is on.
+    static void copy(par::device::Queue* q, const Layout2D& fl, const cplx* from,
+                     const Layout2D& tl, cplx* to, const Box2D& box, std::size_t n) {
+        if (q == nullptr) {
+            copy_box(fl, from, tl, to, box, n);
+            return;
+        }
+        par::device::devcheck::declare(
+            *q, "ReshapePlan copy",
+            {box_region(fl, from, box, n, false), box_region(tl, to, box, n, true)});
         const auto rows = static_cast<std::size_t>(box.i.extent());
-        const Layout2D layout = src;
-        namespace dc = par::device::devcheck;
-        dc::declare(q, "ReshapePlan device pack",
-                    {box_region(src, in, box, n, false),
-                     dc::write(slot, n * box.size() * sizeof(cplx))});
-        q.parallel_for(n * rows, [=](std::size_t r) {
-            const cplx* comp = in + (r / rows) * layout.size();
-            const int i = ib + static_cast<int>(r % rows);
-            cplx* dst = slot + r * static_cast<std::size_t>(rowlen);
-            for (int j = jb; j < jb + rowlen; ++j) dst[j - jb] = comp[layout.offset(i, j)];
+        q->parallel_for(n * rows, [=](std::size_t r) {
+            const Box2D line{{box.i.begin + static_cast<int>(r % rows),
+                              box.i.begin + static_cast<int>(r % rows) + 1},
+                             box.j};
+            copy_box(fl, from + (r / rows) * fl.size(), tl, to + (r / rows) * tl.size(), line,
+                     1);
         });
     }
 
-    /// Device-kernel inverse: wire order at \p data into layout \p dst.
-    static void device_unpack_box(par::device::Queue& q, const Layout2D& dst, cplx* out,
-                                  const Box2D& box, std::size_t n, const cplx* data) {
-        const int ib = box.i.begin;
-        const int jb = box.j.begin;
-        const int rowlen = box.j.extent();
-        const auto rows = static_cast<std::size_t>(box.i.extent());
-        const Layout2D layout = dst;
+    /// One sweep of slot set \p set: pack each off-rank rectangle straight
+    /// into its slot and publish it (an empty block publishes zero bytes),
+    /// copy the self rectangle directly, then unpack arrivals in
+    /// completion order, releasing each slot as soon as it is consumed.
+    /// Under device staging the copies are kernels: each send publishes
+    /// on its own pack-completion event, each arrival releases on its own
+    /// unpack event, and the closing fence makes `out` host-readable (the
+    /// caller runs FFT butterflies on it next).
+    void sweep(detail::ReshapeChannels& c, int set, int rank, const Layout2D& src,
+               const cplx* in, const Layout2D& dst, cplx* out, std::size_t n) const {
         namespace dc = par::device::devcheck;
-        dc::declare(q, "ReshapePlan device unpack",
-                    {dc::read(data, n * box.size() * sizeof(cplx)),
-                     box_region(dst, out, box, n, true)});
-        q.parallel_for(n * rows, [=](std::size_t r) {
-            cplx* comp = out + (r / rows) * layout.size();
-            const int i = ib + static_cast<int>(r % rows);
-            const cplx* s = data + r * static_cast<std::size_t>(rowlen);
-            for (int j = jb; j < jb + rowlen; ++j) comp[layout.offset(i, j)] = s[j - jb];
-        });
-    }
-
-    /// The device sweep: packs go straight from the (pinned) source array
-    /// into the pinned plan buffers as kernels, each send publishing on
-    /// its own completion event; the self rectangle is one direct
-    /// in->out kernel; arrivals unpack as kernels and release on their
-    /// own events. Each kernel covers all components of its rectangle.
-    /// The closing fence makes `out` host-readable (the caller runs FFT
-    /// butterflies on it next).
-    void execute_p2p_device(comm::Communicator& comm, const Layout2D& src,
-                            std::span<const cplx> in, const Layout2D& dst,
-                            std::vector<cplx>& out, std::size_t n) const {
-        auto& c = *p2p_;
-        c.bind(comm, sends_, recvs_, n);
-        par::device::Queue& q = *c.queue;
-        auto& rt = par::device::Runtime::instance();
-        BEATNIK_REQUIRE(rt.device_accessible(in.data(), in.size_bytes()),
-                        "device reshape: source array is not device-accessible — pin it first");
-        BEATNIK_REQUIRE(rt.device_accessible(out.data(), out.size() * sizeof(cplx)),
-                        "device reshape: output array is not device-accessible — pin it first");
-        namespace dc = par::device::devcheck;
-        c.plan->start();
-        c.send_keys.assign(c.send_slots.size(), nullptr);
-        c.recv_keys.assign(c.recv_slots.size(), nullptr);
-        for (std::size_t s = 0; s < c.send_slots.size(); ++s) {
-            const auto& [slot, t] = c.send_slots[s];
-            const Box2D& box = sends_[t].box;
-            auto buf = c.plan->send_buffer(slot, n * box.size() * sizeof(cplx));
-            c.send_keys[s] = buf.data();
-            dc::channel_send_acquire(buf.data());
-            device_pack_box(q, src, in.data(), box, n, reinterpret_cast<cplx*>(buf.data()));
-            q.record_event_into(c.send_events[s]);
+        par::device::Queue* q = c.queue;
+        if (q != nullptr) {   // the runtime exists only under device staging
+            auto& rt = par::device::Runtime::instance();
+            BEATNIK_REQUIRE(rt.device_accessible(in, n * src.size() * sizeof(cplx)),
+                            "device reshape: source array is not pinned — pin it first");
+            BEATNIK_REQUIRE(rt.device_accessible(out, n * dst.size() * sizeof(cplx)),
+                            "device reshape: output array is not pinned — pin it first");
         }
-        for (std::size_t s = 0; s < c.send_slots.size(); ++s) {
-            c.send_events[s].wait();
-            dc::channel_publish(c.send_keys[s], "ReshapePlan device publish");
-            c.plan->publish(c.send_slots[s].first);
-        }
-        // Self rectangle: one direct device copy, no staging.
-        for (const auto& t : recvs_) {
-            if (t.peer != comm.rank()) continue;
-            const Box2D& box = t.box;
-            const int ib = box.i.begin;
-            const int jb = box.j.begin;
-            const int rowlen = box.j.extent();
-            const auto rows = static_cast<std::size_t>(box.i.extent());
-            const Layout2D lsrc = src;
-            const Layout2D ldst = dst;
-            const cplx* ip = in.data();
-            cplx* op = out.data();
-            dc::declare(q, "ReshapePlan self rectangle",
-                        {box_region(lsrc, ip, box, n, false), box_region(ldst, op, box, n, true)});
-            q.parallel_for(n * rows, [=](std::size_t r) {
-                const std::size_t comp = r / rows;
-                const cplx* from = ip + comp * lsrc.size();
-                cplx* to = op + comp * ldst.size();
-                const int i = ib + static_cast<int>(r % rows);
-                for (int j = jb; j < jb + rowlen; ++j) {
-                    to[ldst.offset(i, j)] = from[lsrc.offset(i, j)];
+        const auto k = static_cast<std::size_t>(set);
+        c.plan->start(set);
+        for (const auto& [slot, t] : c.send_order[k]) {
+            const auto i = static_cast<std::size_t>(slot);
+            const Box2D* box = t < 0 ? nullptr : &sends_[static_cast<std::size_t>(t)].box;
+            const std::size_t elems = box == nullptr ? 0 : n * box->size();
+            auto buf = c.plan->send_buffer(slot, elems * sizeof(cplx));
+            if (box != nullptr) {
+                c.send_keys[i] = buf.data();
+                dc::channel_send_acquire(buf.data());
+                copy(q, src, in, wire(*box), reinterpret_cast<cplx*>(buf.data()), *box, n);
+                if (q != nullptr) {
+                    q->record_event_into(c.send_events[i]);
+                    continue;
                 }
-            });
+                dc::channel_publish(buf.data(), "ReshapePlan publish");
+            }
+            if (q == nullptr) c.plan->publish(slot);
+        }
+        if (q != nullptr) {
+            for (const auto& [slot, t] : c.send_order[k]) {
+                const auto i = static_cast<std::size_t>(slot);
+                if (t >= 0) {
+                    c.send_events[i].wait();
+                    dc::channel_publish(c.send_keys[i], "ReshapePlan publish");
+                }
+                c.plan->publish(slot);
+            }
+        }
+        // The self rectangle never leaves the rank.
+        for (const auto& t : recvs_) {
+            if (t.peer == rank) copy(q, src, in, dst, out, t.box, n);
         }
         c.arrived.clear();
-        for (std::size_t done = 0; done < c.recv_slots.size(); ++done) {
-            int s = c.plan->wait_any_recv();
-            BEATNIK_ASSERT(s >= 0);
-            const Box2D& box = recvs_[c.recv_slots[static_cast<std::size_t>(s)].second].box;
+        for (int s; (s = c.plan->wait_any_recv()) != -1;) {
+            const auto i = static_cast<std::size_t>(s);
             auto incoming = c.plan->recv_view_as<cplx>(s);
-            BEATNIK_REQUIRE(incoming.size() == n * box.size(),
-                            "reshape: unexpected p2p block size");
-            c.recv_keys[static_cast<std::size_t>(s)] = incoming.data();
-            dc::channel_recv_acquire(incoming.data(), "ReshapePlan device recv");
-            device_unpack_box(q, dst, out.data(), box, n, incoming.data());
-            q.record_event_into(c.recv_events[static_cast<std::size_t>(s)]);
-            c.arrived.push_back(s);
-        }
-        for (int s : c.arrived) {
-            c.recv_events[static_cast<std::size_t>(s)].wait();
-            dc::channel_release(c.recv_keys[static_cast<std::size_t>(s)],
-                                "ReshapePlan device release");
+            const int t = c.recv_transfer[k][i];
+            const Box2D* box = t < 0 ? nullptr : &recvs_[static_cast<std::size_t>(t)].box;
+            BEATNIK_REQUIRE(incoming.size() == (box == nullptr ? 0 : n * box->size()),
+                            "reshape: unexpected block size from peer");
+            if (box != nullptr) {
+                c.recv_keys[i] = incoming.data();
+                dc::channel_recv_acquire(incoming.data(), "ReshapePlan recv");
+                copy(q, wire(*box), incoming.data(), dst, out, *box, n);
+                if (q != nullptr) {
+                    q->record_event_into(c.recv_events[i]);
+                    c.arrived.push_back(s);
+                    continue;
+                }
+                dc::channel_release(incoming.data(), "ReshapePlan release");
+            }
             c.plan->release_recv(s);
         }
-        q.fence(); // devcheck: fenced — caller's host FFT reads `out` next
+        if (q == nullptr) return;
+        for (int s : c.arrived) {
+            c.recv_events[static_cast<std::size_t>(s)].wait();
+            dc::channel_release(c.recv_keys[static_cast<std::size_t>(s)], "ReshapePlan release");
+            c.plan->release_recv(s);
+        }
+        q->fence(); // devcheck: fenced — caller's host FFT reads `out` next
+    }
+
+    /// The one-set channels of a standalone execute(), made on first use.
+    detail::ReshapeChannels& own() const {
+        if (own_ == nullptr) {
+            own_ = std::make_unique<detail::ReshapeChannels>();
+            own_->add(sends_, recvs_);
+        }
+        return *own_;
     }
 
     std::vector<Transfer> sends_;
     std::vector<Transfer> recvs_;
     std::size_t recv_coverage_ = 0;   ///< sum of recv rectangle sizes
-    /// Execution-time p2p binding, shared by copies and touched only from
-    /// the owning rank-thread (see fft/plan_cache.hpp).
-    std::shared_ptr<detail::P2PPlanCache> p2p_ = std::make_shared<detail::P2PPlanCache>();
+    mutable std::unique_ptr<detail::ReshapeChannels> own_;
 };
 
 } // namespace beatnik::fft

@@ -6,11 +6,13 @@
 // operator new/delete for this test binary only).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <numeric>
 #include <thread>
@@ -479,6 +481,174 @@ TEST(Plan, SteadyStateIterationsAreAllocationFree) {
     for (int r = 0; r < kRanks; ++r) {
         EXPECT_EQ(deltas[static_cast<std::size_t>(r)], 0u)
             << "rank " << r << " allocated on the plan hot path";
+    }
+}
+
+// ------------------------------------------------------------ slot sets
+
+/// One send and one recv slot per peer, shared by two slot sets: a ring
+/// (send right, recv left) and a full exchange.
+struct RingAndFull {
+    bc::Plan plan;
+    std::vector<int> send_to;     ///< send slot by peer (-1 for self)
+    std::vector<int> recv_peer;   ///< peer by recv slot
+    int ring = -1;
+    int full = -1;
+
+    RingAndFull(bc::Communicator& comm, std::size_t bytes) {
+        const int p = comm.size();
+        const int me = comm.rank();
+        const int tag = comm.new_plan_tag();
+        auto b = bc::Plan::builder(comm);
+        send_to.assign(static_cast<std::size_t>(p), -1);
+        std::vector<int> all_sends;
+        std::vector<int> all_recvs;
+        int from_left = -1;
+        for (int r = 0; r < p; ++r) {
+            if (r == me) continue;
+            send_to[static_cast<std::size_t>(r)] = b.add_send(r, tag, bytes);
+            all_sends.push_back(send_to[static_cast<std::size_t>(r)]);
+            all_recvs.push_back(b.add_recv(r, tag, bytes));
+            recv_peer.push_back(r);
+            if (r == (me + p - 1) % p) from_left = all_recvs.back();
+        }
+        ring = b.add_set({send_to[static_cast<std::size_t>((me + 1) % p)]}, {from_left});
+        full = b.add_set(all_sends, all_recvs);
+        plan = b.build();
+        peers.reserve(static_cast<std::size_t>(p));
+    }
+
+    /// Open iteration \p it (even: ring, odd: full) and return the peers
+    /// to publish to (storage reserved at construction).
+    const std::vector<int>& start(bc::Communicator& comm, int it) {
+        plan.start(it % 2 == 0 ? ring : full);
+        peers.clear();
+        for (int r = 0; r < comm.size(); ++r) {
+            const bool in_ring = r == (comm.rank() + 1) % comm.size();
+            if (r != comm.rank() && (it % 2 == 1 || in_ring)) peers.push_back(r);
+        }
+        return peers;
+    }
+
+    std::vector<int> peers;
+};
+
+/// The ranks alternate the two sets of RingAndFull for \p iters
+/// iterations, and rank 0 sleeps between iterations, so its peers publish
+/// into the next set's slots while rank 0 is still in the current one.
+/// Each payload carries its iteration and source, and must be consumed
+/// in that iteration.
+void alternate_slot_sets(bc::Communicator& comm, int iters) {
+    const int me = comm.rank();
+    RingAndFull rf(comm, 2 * sizeof(int));
+    for (int it = 0; it < iters; ++it) {
+        for (int r : rf.start(comm, it)) {
+            const int s = rf.send_to[static_cast<std::size_t>(r)];
+            const std::array<int, 2> payload{it, me};
+            std::memcpy(rf.plan.send_buffer(s, sizeof payload).data(), payload.data(),
+                        sizeof payload);
+            rf.plan.publish(s);
+        }
+        int got = 0;
+        for (int s; (s = rf.plan.wait_any_recv()) != -1; ++got) {
+            auto in = rf.plan.recv_view_as<int>(s);
+            ASSERT_EQ(in.size(), 2u);
+            EXPECT_EQ(in[0], it) << "rank " << me << " consumed another iteration's payload";
+            EXPECT_EQ(in[1], rf.recv_peer[static_cast<std::size_t>(s)]);
+            rf.plan.release_recv(s);
+        }
+        EXPECT_EQ(got, it % 2 == 0 ? 1 : comm.size() - 1) << "rank " << me << ", iteration " << it;
+        if (me == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    comm.barrier();   // quiesce before the channels detach
+}
+
+TEST(PlanSlotSets, PeersRacingIntoTheNextSetDeliverEachPayloadInItsIteration) {
+    run(3, [](bc::Communicator& comm) { alternate_slot_sets(comm, 1000); });
+}
+
+TEST(PlanSlotSets, RaceStaysSilentUnderPlancheck) {
+    const bool was = bc::plancheck::enabled();
+    bc::plancheck::arm();   // before the context: counters are trusted only then
+    const std::uint64_t before = bc::plancheck::hazard_count();
+    run(3, [](bc::Communicator& comm) { alternate_slot_sets(comm, 200); });
+    EXPECT_EQ(bc::plancheck::hazard_count(), before);
+    if (!was) bc::plancheck::disarm();
+}
+
+TEST(PlanSlotSets, SetMembersAreValidatedAtBuild) {
+    run(1, [](bc::Communicator& comm) {
+        const int tag = comm.new_plan_tag();
+        auto b = bc::Plan::builder(comm);
+        int s = b.add_send(0, tag, 8);
+        (void)b.add_recv(0, tag, 8);
+        (void)b.add_set({s, s}, {});
+        EXPECT_THROW((void)b.build(), beatnik::Error);
+    });
+}
+
+TEST(PlanSlotSets, SendOutsideTheActiveSetIsRejected) {
+    run(2, [](bc::Communicator& comm) {
+        const int peer = 1 - comm.rank();
+        const int tag_a = comm.new_plan_tag();
+        const int tag_b = comm.new_plan_tag();
+        auto b = bc::Plan::builder(comm);
+        int sa = b.add_send(peer, tag_a, 8);
+        int sb = b.add_send(peer, tag_b, 8);
+        int ra = b.add_recv(peer, tag_a, 8);
+        (void)b.add_recv(peer, tag_b, 8);
+        const int only_a = b.add_set({sa}, {ra});
+        auto plan = b.build();
+        plan.start(only_a);
+        EXPECT_THROW((void)plan.send_buffer(sb, 8), beatnik::Error);
+        EXPECT_THROW(plan.start(only_a + 1), beatnik::Error);
+        std::memset(plan.send_buffer(sa, 8).data(), 0, 8);
+        plan.publish(sa);
+        EXPECT_EQ(plan.wait_any_recv(), ra);
+        EXPECT_EQ(plan.wait_any_recv(), -1);
+        plan.release_recv(ra);
+        comm.barrier();
+    });
+}
+
+TEST(PlanSlotSets, SteadyStateSetIterationsAreAllocationFree) {
+    if (beatnik::par::device::devcheck::enabled()) {
+        GTEST_SKIP() << "allocation counting not meaningful with devcheck armed";
+    }
+    if (bc::plancheck::enabled()) {
+        GTEST_SKIP() << "armed plancheck allocates flow records on first use";
+    }
+    constexpr int kRanks = 4;
+    constexpr std::size_t kDoubles = 256;
+    std::array<std::uint64_t, kRanks> deltas{};
+    run(kRanks, [&](bc::Communicator& comm) {
+        RingAndFull rf(comm, kDoubles * sizeof(double));
+        std::vector<double> sink(kDoubles, 0.0);
+        auto iteration = [&](int it) {
+            for (int r : rf.start(comm, it)) {
+                const int s = rf.send_to[static_cast<std::size_t>(r)];
+                auto* vals = reinterpret_cast<double*>(
+                    rf.plan.send_buffer(s, kDoubles * sizeof(double)).data());
+                for (std::size_t i = 0; i < kDoubles; ++i) vals[i] = comm.rank() + it + i * 1e-3;
+                rf.plan.publish(s);
+            }
+            for (int s; (s = rf.plan.wait_any_recv()) != -1;) {
+                auto in = rf.plan.recv_view_as<double>(s);
+                for (std::size_t i = 0; i < kDoubles; ++i) sink[i] += in[i];
+                rf.plan.release_recv(s);
+            }
+        };
+        for (int it = 0; it < 4; ++it) iteration(it);   // warm-up
+        comm.barrier();
+        const std::uint64_t before = t_allocs;
+        for (int it = 4; it < 104; ++it) iteration(it);
+        deltas[static_cast<std::size_t>(comm.rank())] = t_allocs - before;
+        comm.barrier();
+        if (sink[0] < -1.0) std::abort();
+    });
+    for (int r = 0; r < kRanks; ++r) {
+        EXPECT_EQ(deltas[static_cast<std::size_t>(r)], 0u)
+            << "rank " << r << " allocated in a slot-set iteration";
     }
 }
 

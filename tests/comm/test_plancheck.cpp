@@ -314,6 +314,59 @@ TEST(PlancheckRuntime, CrossRankWaitOrderCycleIsReportedImmediately) {
     }
 }
 
+TEST(PlancheckRuntime, CrossSetWaitCycleIsReportedImmediately) {
+    ArmGuard arm(true);
+    // One plan per rank with two channels each way (tags a and b) and two
+    // slot sets over them. Rank 0 runs the set {recv a}; rank 1 runs the
+    // set {send b, recv a}: it publishes b, which lands on a slot outside
+    // rank 0's active set, then waits. Nobody ever publishes a. The
+    // message on b is in flight, so the cycle is a knot only because a
+    // blocked wait lists the active set's slots and nothing else.
+    std::string msg;
+    std::uint64_t before = pc::hazard_count();
+    try {
+        run(2, [](bc::Communicator& comm) {
+            const int peer = 1 - comm.rank();
+            const int tag_a = comm.new_plan_tag();
+            const int tag_b = comm.new_plan_tag();
+            auto b = bc::Plan::builder(comm);
+            (void)b.add_send(peer, tag_a, 8);
+            int sb = b.add_send(peer, tag_b, 8);
+            int ra = b.add_recv(peer, tag_a, 8);
+            (void)b.add_recv(peer, tag_b, 8);
+            const int wait_only = b.add_set({}, {ra});
+            const int publish_b = b.add_set({sb}, {ra});
+            auto plan = b.build();
+            if (comm.rank() == 0) {
+                // Block last, so this rank closes the cycle and reports it.
+                std::this_thread::sleep_for(std::chrono::milliseconds(250));
+                plan.start(wait_only);
+            } else {
+                plan.start(publish_b);
+                std::memset(plan.send_buffer(sb, 8).data(), 0, 8);
+                plan.publish(sb);
+            }
+            (void)plan.wait_any_recv();   // throws: deadlock
+        });
+        FAIL() << "cyclic schedule must throw";
+    } catch (const beatnik::Error& e) {
+        msg = e.what();
+    }
+    EXPECT_EQ(pc::hazard_count() - before, 1u) << msg;
+    (void)pc::take_hazard_count();
+    const bool named_cycle = msg.find("plancheck: deadlock") != std::string::npos;
+    const bool abort_face = msg.find("aborted") != std::string::npos;
+    EXPECT_TRUE(named_cycle || abort_face) << msg;
+    if (named_cycle) {
+        EXPECT_NE(msg.find("world rank 0"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("world rank 1"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("tag " + std::to_string(bc::tags::plan_seq(0))), std::string::npos)
+            << msg;
+        EXPECT_EQ(msg.find("tag " + std::to_string(bc::tags::plan_seq(1))), std::string::npos)
+            << "the wait lists a slot outside its set: " << msg;
+    }
+}
+
 // ------------------------------------------- schedule explorer (silent)
 
 /// Drive one correct ring schedule over loopback with seeded jitter so

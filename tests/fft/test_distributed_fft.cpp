@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <numbers>
 #include <span>
@@ -12,6 +14,7 @@
 
 #include "base/rng.hpp"
 #include "fft/distributed_fft.hpp"
+#include "telemetry/telemetry.hpp"
 #include "test_env.hpp"
 
 namespace bf = beatnik::fft;
@@ -238,44 +241,47 @@ TEST(DistributedFFT, AllConfigsProduceIdenticalSpectra) {
 }
 
 TEST(Reshape, EnableDeviceAfterHostBindPinsTheExistingPlan) {
-    // Regression: enable_device() on a ReshapePlan whose p2p plan was
-    // already bound by host sweeps must pin the existing binding and
-    // size the per-slot event storage — bind()'s same-communicator early
-    // return used to skip both, leaving the device sweep indexing empty
-    // event vectors and packing into unpinned buffers.
+    // Regression: enable_device() on a ReshapePlan whose plan was already
+    // bound by host sweeps must pin the existing binding and size the
+    // per-slot event storage — bind()'s same-communicator early return
+    // used to skip both, leaving the device sweep indexing empty event
+    // vectors and packing into unpinned buffers. Both AllToAll semantics
+    // run on the device path.
     run(4, [](bc::Communicator& comm) {
         std::array<int, 2> global{16, 16};
         auto dims = beatnik::grid::dims_create_2d(comm.size());
         auto bricks = bf::brick_boxes(global, dims);
         auto pencils = bf::pencil_boxes(global, comm.size(), /*long_axis=*/1);
-        bf::ReshapePlan plan(comm.rank(), bricks, pencils);
         bf::Layout2D src{bricks[static_cast<std::size_t>(comm.rank())], 1};
         bf::Layout2D dst{pencils[static_cast<std::size_t>(comm.rank())], 1};
         std::vector<cplx> in(src.size());
         for (std::size_t k = 0; k < in.size(); ++k) {
             in[k] = {static_cast<double>(k % 13), static_cast<double>(comm.rank())};
         }
-        std::vector<cplx> host_out;
-        plan.execute(comm, src, std::span<const cplx>(in), dst, host_out,
-                     /*use_alltoall=*/false);   // binds the p2p plan, host path
-
-        beatnik::par::device::Queue q;
         beatnik::par::device::ScopedHostRegistration pin_in{std::span<const cplx>(in)};
-        plan.enable_device(q);
-        EXPECT_TRUE(plan.device_enabled());
-        std::vector<cplx> dev_out(dst.size());
-        beatnik::par::device::ScopedHostRegistration pin_out{std::span<const cplx>(
-            dev_out.data(), dev_out.size())};
-        plan.execute(comm, src, std::span<const cplx>(in), dst, dev_out,
-                     /*use_alltoall=*/false);
-        EXPECT_EQ(host_out, dev_out) << "rank " << comm.rank();
+        for (bool alltoall : {false, true}) {
+            bf::ReshapePlan plan(comm.rank(), bricks, pencils);
+            std::vector<cplx> host_out;
+            plan.execute(comm, src, std::span<const cplx>(in), dst, host_out,
+                         alltoall);   // binds the plan, host path
+
+            beatnik::par::device::Queue q;
+            plan.enable_device(q);
+            EXPECT_TRUE(plan.device_enabled());
+            std::vector<cplx> dev_out(dst.size());
+            beatnik::par::device::ScopedHostRegistration pin_out{std::span<const cplx>(
+                dev_out.data(), dev_out.size())};
+            plan.execute(comm, src, std::span<const cplx>(in), dst, dev_out, alltoall);
+            EXPECT_EQ(host_out, dev_out)
+                << "rank " << comm.rank() << (alltoall ? " alltoall" : " p2p");
+        }
     });
 }
 
 TEST(Reshape, BatchedComponentsMatchSingleComponentExecutes) {
     // One execute over 3 stacked components must equal 3 single-component
-    // executes, on the alltoall path, the host p2p plan (which rebinds
-    // its slots at the larger count) and the device p2p plan.
+    // executes, for both AllToAll semantics, on the host (which rebinds
+    // its slots at the larger count) and on the device path.
     constexpr int kComponents = 3;
     run(4, [](bc::Communicator& comm) {
         std::array<int, 2> global{12, 18};
@@ -289,35 +295,110 @@ TEST(Reshape, BatchedComponentsMatchSingleComponentExecutes) {
         for (std::size_t k = 0; k < in.size(); ++k) {
             in[k] = {static_cast<double>(k), static_cast<double>(comm.rank())};
         }
-        auto singles = [&](bool alltoall) {
-            std::vector<cplx> want;
+        std::array<std::vector<cplx>, 2> want;   // by alltoall
+        for (bool alltoall : {true, false}) {
             std::vector<cplx> one;
+            auto& singles = want[alltoall ? 1 : 0];
             for (int c = 0; c < kComponents; ++c) {
                 plan.execute(comm, src,
                              std::span<const cplx>(in).subspan(c * src.size(), src.size()),
                              dst, one, alltoall);
-                want.insert(want.end(), one.begin(), one.end());
+                singles.insert(singles.end(), one.begin(), one.end());
             }
-            return want;
-        };
-        for (bool alltoall : {true, false}) {
-            auto want = singles(alltoall);
             std::vector<cplx> got;
             plan.execute(comm, src, std::span<const cplx>(in), dst, got, alltoall, kComponents);
-            EXPECT_EQ(got, want) << "rank " << comm.rank() << (alltoall ? " alltoall" : " p2p");
+            EXPECT_EQ(got, singles) << "rank " << comm.rank() << (alltoall ? " alltoall" : " p2p");
         }
+        EXPECT_EQ(want[0], want[1]) << "rank " << comm.rank();
 
-        auto want = singles(/*alltoall=*/false);
         beatnik::par::device::Queue q;
         beatnik::par::device::ScopedHostRegistration pin_in{std::span<const cplx>(in)};
         plan.enable_device(q);
         std::vector<cplx> got(kComponents * dst.size());
         beatnik::par::device::ScopedHostRegistration pin_out{
             std::span<const cplx>(got.data(), got.size())};
-        plan.execute(comm, src, std::span<const cplx>(in), dst, got, /*use_alltoall=*/false,
-                     kComponents);
-        EXPECT_EQ(got, want) << "rank " << comm.rank() << " device p2p";
+        for (bool alltoall : {true, false}) {
+            plan.execute(comm, src, std::span<const cplx>(in), dst, got, alltoall, kComponents);
+            EXPECT_EQ(got, want[alltoall ? 1 : 0])
+                << "rank " << comm.rank() << (alltoall ? " device alltoall" : " device p2p");
+        }
     });
+}
+
+TEST(Reshape, MessagePatternFollowsTheAllToAllKnob) {
+    // A traced 4-rank round trip per config: count the plan.publish spans
+    // inside each fft.reshape span on every rank. The alltoall configs
+    // publish to all P-1 peers, empty blocks included; the p2p configs
+    // publish only to the peers their boxes overlap. No collective runs.
+    constexpr int kRanks = 4;
+    const std::array<int, 2> topo{2, 2};
+    const std::array<int, 2> global{16, 16};
+    for (int idx = 0; idx < 8; ++idx) {
+        const auto cfg = bf::FFTConfig::from_table1_index(idx);
+        const auto bricks = bf::brick_boxes(global, topo);
+        const auto stage1 = cfg.use_pencils ? bf::pencil_boxes(global, kRanks, 1)
+                                            : bf::row_band_boxes(global, topo);
+        const auto stage2 = cfg.use_pencils ? bf::pencil_boxes(global, kRanks, 0)
+                                            : bf::column_band_boxes(global, topo);
+        const std::array<std::pair<const std::vector<bf::Box2D>*, const std::vector<bf::Box2D>*>,
+                         4>
+            route{{{&bricks, &stage1}, {&stage1, &stage2}, {&stage2, &stage1}, {&stage1, &bricks}}};
+        std::array<int, kRanks> collectives{};
+        beatnik::telemetry::Registry::instance().arm({});
+        beatnik::telemetry::Registry::instance().clear();
+        run(kRanks, [&](bc::Communicator& comm) {
+            bf::DistributedFFT2D fft(comm, global, topo, cfg);
+            std::vector<cplx> data(fft.local_box().size(), cplx{1.0, 0.0});
+            const int before = comm.collectives_issued();
+            fft.to_spectral(data, 1);
+            fft.from_spectral(data, 1);
+            collectives[static_cast<std::size_t>(comm.rank())] =
+                comm.collectives_issued() - before;
+        });
+        beatnik::telemetry::disarm();
+
+        std::array<std::vector<int>, kRanks> publishes;
+        for (const auto* t : beatnik::telemetry::Registry::instance().tracks()) {
+            int r = -1;
+            if (t->size() == 0 || std::sscanf(t->name().c_str(), "rank %d", &r) != 1) continue;
+            int inside = -1;   // publishes in the open fft.reshape span
+            for (std::size_t i = 0; i < t->size(); ++i) {
+                const auto& e = (*t)[i];
+                const bool begin = e.kind == beatnik::telemetry::EventKind::begin;
+                const bool end = e.kind == beatnik::telemetry::EventKind::end;
+                if (begin && std::strcmp(e.name, "fft.reshape") == 0) inside = 0;
+                if (begin && inside >= 0 && std::strcmp(e.name, "plan.publish") == 0) ++inside;
+                if (end && std::strcmp(e.name, "fft.reshape") == 0) {
+                    publishes[static_cast<std::size_t>(r)].push_back(inside);
+                    inside = -1;
+                }
+            }
+        }
+        for (int r = 0; r < kRanks; ++r) {
+            std::vector<int> expect;
+            for (const auto& [from, to] : route) {
+                int peers = kRanks - 1;
+                if (!cfg.use_alltoall) {
+                    bf::ReshapePlan rp(r, *from, *to);
+                    peers = static_cast<int>(std::count_if(
+                        rp.sends().begin(), rp.sends().end(),
+                        [r](const bf::Transfer& t) { return t.peer != r; }));
+                }
+                expect.push_back(peers);
+            }
+            EXPECT_EQ(publishes[static_cast<std::size_t>(r)], expect)
+                << "config " << idx << ", rank " << r;
+            EXPECT_EQ(collectives[static_cast<std::size_t>(r)], 0)
+                << "config " << idx << ", rank " << r << " ran a collective";
+        }
+        if (cfg.use_alltoall) continue;
+        // The contrast the knob exists for: some p2p reshape skips a peer.
+        bool skipped = false;
+        for (const auto& counts : publishes) {
+            for (int c : counts) skipped |= c < kRanks - 1;
+        }
+        EXPECT_TRUE(skipped) << "config " << idx;
+    }
 }
 
 TEST(DistributedFFT, SignedModeMapping) {

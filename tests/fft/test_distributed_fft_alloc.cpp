@@ -1,7 +1,8 @@
 // Zero-allocation guarantee of the distributed FFT's steady state: once
 // warm, to_spectral()/from_spectral() round trips reuse the persistent
-// stage buffer, the p2p reshape plans and the line-FFT scratch, whatever
-// the stride or the algorithm of the line transforms (verified with a per-thread
+// stage buffer, the shared reshape plan and the line-FFT scratch, whatever
+// the AllToAll knob, the stride or the algorithm of the line transforms
+// (verified with a per-thread
 // counting global allocator — this TU replaces operator new/delete for
 // this test binary only).
 #include <gtest/gtest.h>
@@ -65,11 +66,12 @@ class FFTAllocP : public ::testing::TestWithParam<Case> {};
 // Config 3 (pencils, reorder, p2p reshapes): every line unit-stride.
 // Config 2 (reorder off): stage 2 transforms strided lines. 96 x 96 runs
 // Bluestein on both stages. Their alltoall twins, configs 7 and 6, share
-// these layouts and line transforms but reshape through alltoallv, whose
-// mailbox messages still allocate per block (ROADMAP).
+// these layouts and line transforms and run the same plan slots with
+// every peer taking part, empty blocks included.
 INSTANTIATE_TEST_SUITE_P(Configs, FFTAllocP,
                          ::testing::Values(Case{3, {64, 64}}, Case{2, {64, 64}},
-                                           Case{3, {96, 96}}),
+                                           Case{3, {96, 96}}, Case{7, {64, 64}},
+                                           Case{6, {64, 64}}, Case{7, {96, 96}}),
                          [](const ::testing::TestParamInfo<Case>& info) {
                              return "config" + std::to_string(info.param.table1_index) + "_" +
                                     std::to_string(info.param.global[0]);
